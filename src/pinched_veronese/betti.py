@@ -8,7 +8,8 @@ certified table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -63,9 +64,6 @@ class BettiTable:
 
     def same_entries(self, other: "BettiTable") -> bool:
         return self.nonzero_cells() == other.nonzero_cells()
-
-    def max_nonzero_s(self) -> int:
-        return max((s for (_, s), v in self.entries.items() if v), default=0)
 
     def to_text(self) -> str:
         """Macaulay-style rendering: row r collects the entries with s - i = r."""
@@ -125,7 +123,11 @@ def _profiles_for_degrees(
     cache=None,
     jobs: int = 1,
 ):
-    """Yield (s, h, profile) deterministically (s ascending, h descending lex)."""
+    """Yield (s, h, profile) deterministically (s ascending, h descending lex).
+
+    jobs is capped at the CPU count, so no request starts more worker
+    processes than there are CPUs.
+    """
     work: list[tuple[int, Multidegree]] = []
     for s in degrees:
         for h in enumerate_degree(config, s):
@@ -138,6 +140,7 @@ def _profiles_for_degrees(
             profiles[h] = hit
         else:
             missing.append(h)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(missing) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -237,15 +240,7 @@ class ClassificationReport:
     observed_regularity: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "pdim": self.pdim,
-            "depth": self.depth,
-            "krull_dim": self.krull_dim,
-            "is_cm": self.is_cm,
-            "is_gorenstein": self.is_gorenstein,
-            "linearity_index": self.linearity_index,
-            "observed_regularity": self.observed_regularity,
-        }
+        return asdict(self)
 
 
 def classify(table: BettiTable) -> ClassificationReport:

@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each subcommand computes its result once; main() alone picks the output
+format, renders only that one, and writes stdout.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 refusal.  JSON output is schema-versioned and key-sorted; identical inputs
 produce identical bytes, warm cache or cold.
@@ -13,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .betti import DEFAULT_COMPLEX_BUDGET, classify, graded_betti
+from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, graded_betti
 from .cache import SCHEMA_VERSION, HomologyCache
 from .complexes import alexander_dual, build_divisor_complex
 from .errors import ResourceLimitExceeded
@@ -37,7 +40,7 @@ from .series import (
     h_polynomial,
     hilbert_closed,
 )
-from .theorems import expected_table, verify
+from .theorems import expected_table, has_catalog, verify
 
 CACHE_ENV_VAR = "PINCHED_VERONESE_CACHE_DIR"
 
@@ -69,14 +72,6 @@ def _cache_for(args, config, field):
     return HomologyCache(directory, config, field)
 
 
-def _emit_json(command: str, payload: dict) -> str:
-    return json.dumps(
-        {"schema": SCHEMA_VERSION, "command": command, **payload},
-        sort_keys=True,
-        indent=2,
-    )
-
-
 def _int_coeffs(poly) -> list[int]:
     out = []
     for c in poly.coeffs:
@@ -87,142 +82,146 @@ def _int_coeffs(poly) -> list[int]:
     return out
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    return "\n".join(lines)
+def _config_fields(config: PinchConfig) -> dict:
+    return {"n": config.n, "d": config.d, "m": list(config.m)}
+
+
+def _header_and_row(obj: dict) -> list[list]:
+    keys = sorted(obj)
+    return [keys, [obj[k] for k in keys]]
 
 
 # -- subcommands -----------------------------------------------------------
+#
+# Each returns (exit code, JSON payload, text renderer, CSV rows with the
+# header first).  The renderer returns the text lines; main() calls it only
+# when text output is asked for.
 
 
-def _cmd_gens(args) -> int:
+def _cmd_gens(args):
     config = _config_from_args(args)
     gens = generate_generators(config)
-    if args.format == "json":
-        print(_emit_json("gens", {"n": config.n, "d": config.d, "m": list(config.m),
-                                  "count": len(gens), "generators": [list(g) for g in gens]}))
-    elif args.format == "csv":
-        print(_csv_lines(["index", "generator"],
-                         [[i, " ".join(str(c) for c in g)] for i, g in enumerate(gens)]))
-    else:
-        print(f"{len(gens)} generators (descending lex), pinch {tuple(config.m)} removed:")
-        for i, g in enumerate(gens):
-            print(f"  [{i}] {tuple(g)}")
-    return 0
+    payload = {**_config_fields(config), "count": len(gens),
+               "generators": [list(g) for g in gens]}
+
+    def text():
+        return [f"{len(gens)} generators (descending lex), pinch {tuple(config.m)} removed:",
+                *(f"  [{i}] {tuple(g)}" for i, g in enumerate(gens))]
+
+    rows = [["index", "generator"],
+            *([i, " ".join(str(c) for c in g)] for i, g in enumerate(gens))]
+    return 0, payload, text, rows
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args):
     config = _config_from_args(args)
     h = _parse_vector(args.element)
     closed = is_member_closed(h, config)
     payload = {"element": list(h), "member": closed}
     status = 0
     if args.cross_check:
-        brute = is_member_bruteforce(h, config, degree_cap=args.degree_cap)
-        payload["bruteforce"] = brute
-        if brute != closed:
-            status = 1
-    if args.format == "json":
-        print(_emit_json("member", payload))
-    elif args.format == "csv":
-        print(_csv_lines(sorted(payload), [[payload[k] for k in sorted(payload)]]))
-    else:
+        payload["bruteforce"] = is_member_bruteforce(h, config, degree_cap=args.degree_cap)
+        status = int(payload["bruteforce"] != closed)
+
+    def text():
         verdict = "in" if closed else "not in"
-        print(f"{tuple(h)} is {verdict} the semigroup")
+        lines = [f"{tuple(h)} is {verdict} the semigroup"]
         if args.cross_check:
             agree = "agrees" if status == 0 else "DISAGREES"
-            print(f"bruteforce oracle {agree}: {payload['bruteforce']}")
-    return status
+            lines.append(f"bruteforce oracle {agree}: {payload['bruteforce']}")
+        return lines
+
+    return status, payload, text, _header_and_row(payload)
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args):
     config = _config_from_args(args)
     series = hilbert_closed(config)
     num, den = _int_coeffs(series.num), _int_coeffs(series.den)
-    expansion = None
+    payload = {**_config_fields(config), "numerator": num, "denominator": den}
+    rows = [["part", "coefficients"],
+            ["numerator", " ".join(map(str, num))], ["denominator", " ".join(map(str, den))]]
     if args.expand is not None:
-        expansion = [int(c) for c in series.series(args.expand)]
-    if args.format == "json":
-        payload = {"n": config.n, "d": config.d, "m": list(config.m),
-                   "numerator": num, "denominator": den}
-        if expansion is not None:
-            payload["expansion"] = expansion
-        print(_emit_json("hilbert", payload))
-    elif args.format == "csv":
-        rows = [["numerator", " ".join(map(str, num))], ["denominator", " ".join(map(str, den))]]
-        if expansion is not None:
-            rows.append(["expansion", " ".join(map(str, expansion))])
-        print(_csv_lines(["part", "coefficients"], rows))
-    else:
-        print(f"Hilbert series of n={config.n} d={config.d} m={tuple(config.m)}:")
-        print(f"  numerator coefficients:   {num}")
-        print(f"  denominator coefficients: {den}")
-        if expansion is not None:
-            print(f"  series through z^{args.expand}: {expansion}")
-    return 0
+        payload["expansion"] = [int(c) for c in series.series(args.expand)]
+        rows.append(["expansion", " ".join(map(str, payload["expansion"]))])
+
+    def text():
+        lines = [f"Hilbert series of n={config.n} d={config.d} m={tuple(config.m)}:",
+                 f"  numerator coefficients:   {num}",
+                 f"  denominator coefficients: {den}"]
+        if args.expand is not None:
+            lines.append(f"  series through z^{args.expand}: {payload['expansion']}")
+        return lines
+
+    return 0, payload, text, rows
 
 
-def _cmd_hpoly(args) -> int:
+def _cmd_hpoly(args):
     config = _config_from_args(args)
-    poly = h_polynomial(config)
-    coeffs = _int_coeffs(poly)
-    if args.format == "json":
-        print(_emit_json("hpoly", {"n": config.n, "d": config.d, "m": list(config.m),
-                                   "coarse_coefficients": coeffs}))
-    elif args.format == "csv":
-        print(_csv_lines(["s", "coefficient"], list(enumerate(coeffs))))
-    else:
-        print(f"h-polynomial in w = z^{config.d}: {coeffs}")
-    return 0
+    coeffs = _int_coeffs(h_polynomial(config))
+    return (0, {**_config_fields(config), "coarse_coefficients": coeffs},
+            lambda: [f"h-polynomial in w = z^{config.d}: {coeffs}"],
+            [["s", "coefficient"], *enumerate(coeffs)])
 
 
-def _cmd_betti(args) -> int:
+def _scan(args) -> BettiTable:
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
-    cache = _cache_for(args, config, field)
-    table = graded_betti(config, field, args.imax, args.smax,
-                         cache=cache, jobs=args.jobs, budget=args.budget)
-    if args.format == "json":
-        print(_emit_json("betti", {"table": table.to_json_obj()}))
-    elif args.format == "csv":
-        print(_csv_lines(["i", "s", "value"],
-                         [[i, s, table.entry(i, s)]
-                          for i in range(table.i_max + 1)
-                          for s in range(table.s_max + 1)]))
-    else:
-        print(f"graded Betti table, n={config.n} d={config.d} m={tuple(config.m)} over {field}")
-        print(table.to_text())
-        if config.n == 2:
-            exp = expected_table(config)
-            print("cataloged entries:")
-            for (i, s), v in sorted(exp.known.items()):
-                mark = "ok" if table.entry(i, s) == v else f"MISMATCH (computed {table.entry(i, s)})"
-                print(f"  betti[{i},{s}] = {v}  [{exp.known_details[(i, s)]}] {mark}")
-            for i, s in sorted(exp.unknown):
-                print(f"  betti[{i},{s}] = {table.entry(i, s)}  [no closed form]")
-    return 0
+    return graded_betti(config, field, args.imax, args.smax,
+                        cache=_cache_for(args, config, field), jobs=args.jobs, budget=args.budget)
 
 
-def _cmd_classify(args) -> int:
-    config = _config_from_args(args)
-    field = FieldSpec.parse(args.field)
-    cache = _cache_for(args, config, field)
-    table = graded_betti(config, field, args.imax, args.smax,
-                         cache=cache, jobs=args.jobs, budget=args.budget)
-    report = classify(table)
-    if args.format == "json":
-        print(_emit_json("classify", {"n": config.n, "d": config.d, "m": list(config.m),
-                                      "field": field.label, **report.to_json_obj()}))
-    elif args.format == "csv":
-        obj = report.to_json_obj()
-        print(_csv_lines(sorted(obj), [[obj[k] for k in sorted(obj)]]))
-    else:
-        print(f"classification of n={config.n} d={config.d} m={tuple(config.m)}:")
-        for k, v in sorted(report.to_json_obj().items()):
-            print(f"  {k}: {v}")
-    return 0
+def _catalog_lines(table: BettiTable) -> list[str]:
+    """Each cataloged cell against the table; cells outside its rectangle are
+    marked not scanned, and a mismatch shows the erratum where there is one."""
+    exp = expected_table(table.config)
+    lines = ["cataloged entries:"]
+    for (i, s), v in sorted(exp.known.items()):
+        got, erratum = table.entry(i, s), exp.errata.get((i, s))
+        if i > table.i_max or s > table.s_max:
+            mark = "not scanned"
+        elif got == v:
+            mark = "ok"
+        elif erratum is None:
+            mark = f"MISMATCH (computed {got})"
+        else:
+            verdict = "ok" if got == erratum else "MISMATCH"
+            mark = f"MISMATCH (computed {got}; erratum {erratum} {verdict})"
+        lines.append(f"  betti[{i},{s}] = {v}  [{exp.known_details[(i, s)]}] {mark}")
+    for i, s in sorted(exp.unknown):
+        if i > table.i_max or s > table.s_max:
+            lines.append(f"  betti[{i},{s}] = ?  [no closed form] not scanned")
+        else:
+            lines.append(f"  betti[{i},{s}] = {table.entry(i, s)}  [no closed form]")
+    return lines
+
+
+def _cmd_betti(args):
+    table = _scan(args)
+    config = table.config
+    payload = {"table": table.to_json_obj()}
+
+    def text():
+        lines = [f"graded Betti table, n={config.n} d={config.d} m={tuple(config.m)} "
+                 f"over {table.field}", table.to_text()]
+        if has_catalog(config):
+            lines += _catalog_lines(table)
+        return lines
+
+    return 0, payload, text, [["i", "s", "value"], *payload["table"]["entries"]]
+
+
+def _cmd_classify(args):
+    table = _scan(args)
+    config = table.config
+    report = classify(table).to_json_obj()
+    payload = {**_config_fields(config), "field": table.field.label, **report}
+
+    def text():
+        return [f"classification of n={config.n} d={config.d} m={tuple(config.m)}:",
+                *(f"  {k}: {v}" for k, v in sorted(report.items()))]
+
+    return 0, payload, text, _header_and_row(report)
 
 
 def _parse_sweep(spec: str) -> list[PinchConfig]:
@@ -246,75 +245,59 @@ def _parse_sweep(spec: str) -> list[PinchConfig]:
         raise ValueError("sweeps are defined for n=2 (pinch indices)")
     if d_lo is None:
         raise ValueError("sweep needs a d range, e.g. d=3..7")
-    configs = []
-    for d in range(d_lo, d_hi + 1):
-        for i in range((d + 1) // 2 + 1):
-            configs.append(PinchConfig.from_pinch_index(d, i))
-    return configs
+    return [PinchConfig.from_pinch_index(d, i)
+            for d in range(d_lo, d_hi + 1) for i in range((d + 1) // 2 + 1)]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     field = FieldSpec.parse(args.field)
-    if args.sweep:
-        configs = _parse_sweep(args.sweep)
-    else:
-        configs = [_config_from_args(args)]
-    reports = []
-    for config in configs:
-        cache = _cache_for(args, config, field)
-        reports.append(verify(config, field, cache=cache, jobs=args.jobs, budget=args.budget))
+    configs = _parse_sweep(args.sweep) if args.sweep else [_config_from_args(args)]
+    reports = [verify(config, field, cache=_cache_for(args, config, field),
+                      jobs=args.jobs, budget=args.budget)
+               for config in configs]
     any_fail = any(not r.all_pass for r in reports)
-    if args.format == "json":
-        print(_emit_json("verify", {"all_pass": not any_fail,
-                                    "reports": [r.to_json_obj() for r in reports]}))
-    elif args.format == "csv":
-        rows = []
+    payload = {"all_pass": not any_fail, "reports": [r.to_json_obj() for r in reports]}
+    rows = [["n", "d", "m", "check", "result"],
+            *([r.config.n, r.config.d, " ".join(map(str, r.config.m)),
+               c.label, "pass" if c.passed else "fail"]
+              for r in reports for c in r.checks if c.judged)]
+
+    def text():
+        if not args.sweep:
+            return [r.to_text() for r in reports]
+        lines = []
         for r in reports:
-            for c in r.checks:
-                if c.judged:
-                    rows.append([r.config.n, r.config.d,
-                                 " ".join(map(str, r.config.m)),
-                                 c.label, "pass" if c.passed else "fail"])
-        print(_csv_lines(["n", "d", "m", "check", "result"], rows))
-    else:
-        for r in reports:
-            if args.sweep:
-                mark = "PASS" if r.all_pass else "FAIL"
-                fails = ", ".join(c.label for c in r.failed_checks())
-                suffix = f" ({fails})" if fails else ""
-                print(f"[{mark}] d={r.config.d} m={tuple(r.config.m)}{suffix}")
-            else:
-                print(r.to_text())
-        if args.sweep:
-            print("=>", "all configurations pass" if not any_fail else "failures present")
-    return 1 if any_fail else 0
+            mark = "PASS" if r.all_pass else "FAIL"
+            fails = ", ".join(c.label for c in r.failed_checks())
+            suffix = f" ({fails})" if fails else ""
+            lines.append(f"[{mark}] d={r.config.d} m={tuple(r.config.m)}{suffix}")
+        lines.append("=> " + ("all configurations pass" if not any_fail else "failures present"))
+        return lines
+
+    return (1 if any_fail else 0), payload, text, rows
 
 
-def _cmd_canonical(args) -> int:
+def _cmd_canonical(args):
     if args.d is None:
         raise ValueError("-d is required")
     t = canonical_partner(args.n, args.d, args.k)
     holds, shift = canonical_series_check(args.n, args.d, args.k)
     payload = {"n": args.n, "d": args.d, "k": args.k,
                "partner": t, "holds": holds, "shift": shift}
-    if args.format == "json":
-        print(_emit_json("canonical", payload))
-    elif args.format == "csv":
-        print(_csv_lines(sorted(payload), [[payload[k] for k in sorted(payload)]]))
-    else:
-        print(f"canonical partner of k={args.k} (n={args.n}, d={args.d}): t = {t}")
+
+    def text():
         verdict = f"monomial quotient holds, shift {shift}" if holds else "monomial quotient FAILS"
-        print(f"series duality: {verdict}")
-    return 0 if holds else 1
+        return [f"canonical partner of k={args.k} (n={args.n}, d={args.d}): t = {t}",
+                f"series duality: {verdict}"]
+
+    return (0 if holds else 1), payload, text, _header_and_row(payload)
 
 
-def _cmd_dualcheck(args) -> int:
+def _cmd_dualcheck(args):
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
-    if args.element:
-        elements = [_parse_vector(args.element)]
-    else:
-        elements = enumerate_degree(config, args.coarse)
+    elements = ([_parse_vector(args.element)] if args.element
+                else enumerate_degree(config, args.coarse))
     failures = []
     checked = 0
     for h in elements:
@@ -338,26 +321,20 @@ def _cmd_dualcheck(args) -> int:
             # support; the involution only applies to non-void complexes
             if not dual.is_void and alexander_dual(dual, dual.ground).faces != c.faces:
                 failures.append((h, "dual involution"))
-    payload = {"n": config.n, "d": config.d, "m": list(config.m), "field": field.label,
+    payload = {**_config_fields(config), "field": field.label,
                "complexes_checked": checked,
                "failures": [[list(h), why] for h, why in failures]}
     if args.element and elements:
         c = build_divisor_complex(elements[0], config)
         payload["faces"] = sorted(sorted(f) for f in c.faces)
-    if args.format == "json":
-        print(_emit_json("dualcheck", payload))
-    elif args.format == "csv":
-        print(_csv_lines(["element", "failure"],
-                         [[" ".join(map(str, h)), why] for h, why in failures]
-                         or [["-", "none"]]))
-    else:
-        print(f"checked {checked} complexes: boundary^2, euler, duality, involution")
-        if failures:
-            for h, why in failures:
-                print(f"  FAIL {tuple(h)}: {why}")
-        else:
-            print("  all pass")
-    return 1 if failures else 0
+    rows = [["element", "failure"],
+            *([[" ".join(map(str, h)), why] for h, why in failures] or [["-", "none"]])]
+
+    def text():
+        return [f"checked {checked} complexes: boundary^2, euler, duality, involution",
+                *([f"  FAIL {tuple(h)}: {why}" for h, why in failures] or ["  all pass"])]
+
+    return (1 if failures else 0), payload, text, rows
 
 
 # -- parser ----------------------------------------------------------------
@@ -438,7 +415,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, text, rows = args.func(args)
+        if args.format == "json":
+            out = json.dumps({"schema": SCHEMA_VERSION, "command": args.command, **payload},
+                             sort_keys=True, indent=2)
+        elif args.format == "csv":
+            out = "\n".join(",".join(str(x) for x in row) for row in rows)
+        else:
+            out = "\n".join(text())
+        print(out)
+        return code
     except ResourceLimitExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3

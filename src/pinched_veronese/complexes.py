@@ -62,12 +62,6 @@ class SimplicialComplex:
         out.sort()
         return out
 
-    def f_vector(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for f in self.faces:
-            counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
-        return counts
-
     def has_face(self, f) -> bool:
         return Face(f) in self.faces
 

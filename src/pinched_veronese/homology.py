@@ -108,13 +108,7 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
 _profile_cache: dict[tuple, HomologyProfile] = {}
 
 
-def clear_profile_cache() -> None:
-    _profile_cache.clear()
-
-
-def reduced_homology(
-    c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD, use_cache: bool = True
-) -> HomologyProfile:
+def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> HomologyProfile:
     """All reduced homology dimensions of c over the given field.
 
     dim H~_k = (#k-faces) - rank(boundary_k) - rank(boundary_{k+1}); cones are
@@ -123,15 +117,12 @@ def reduced_homology(
     """
     if c.is_void:
         return HomologyProfile()
-    key = None
-    if use_cache:
-        key = (c.canonical_form(), field.p)
-        hit = _profile_cache.get(key)
-        if hit is not None:
-            return hit
+    key = (c.canonical_form(), field.p)
+    hit = _profile_cache.get(key)
+    if hit is not None:
+        return hit
     profile = _compute_profile(c, field)
-    if key is not None:
-        _profile_cache[key] = profile
+    _profile_cache[key] = profile
     return profile
 
 

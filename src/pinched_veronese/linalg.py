@@ -36,14 +36,6 @@ class FieldSpec:
             raise ValueError(f"{self.p} is not prime")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         t = text.strip().lower()
         if t in ("q", "qq", "rationals", "rational", "0"):

@@ -114,10 +114,6 @@ class PinchConfig:
         """Number of degree-d exponent vectors, binom(n+d-1, d)."""
         return comb(self.n + self.d - 1, self.d)
 
-    @property
-    def num_generators(self) -> int:
-        return self.N - 1
-
     def normalization(self) -> tuple[Multidegree, tuple[int, ...]]:
         """Sorted-descending pinch vector and the permutation realizing it.
 

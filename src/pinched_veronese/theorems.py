@@ -131,9 +131,9 @@ def expected_interior(d: int, i: int) -> ExpectedTable:
     """
     if d < 4:
         raise ValueError(f"d must be >= 4 for an interior pinch, got {d}")
-    if not 2 <= i <= (d + 1) // 2 or max(i, d - i) >= d - 1:
-        raise ValueError(f"pinch index {i} is not interior for d={d}")
-    i = min(i, d - i)
+    index, i = i, min(i, d - i)
+    if i < 2:
+        raise ValueError(f"pinch index {index} is not interior for d={d}")
     known = {(0, 0): 1}
     details = {(0, 0): "unit"}
     for j in range(1, i):
@@ -183,6 +183,11 @@ def expected_interior(d: int, i: int) -> ExpectedTable:
         errata=errata,
         errata_details=errata_details,
     )
+
+
+def has_catalog(config: PinchConfig) -> bool:
+    """True when expected_table has a catalog for config: n = 2 and d >= 3."""
+    return config.n == 2 and config.d >= 3
 
 
 def expected_table(config: PinchConfig) -> ExpectedTable:
@@ -431,6 +436,8 @@ def _verify_general(
         )
     else:
         witness = witness_non_cm(config, field, budget=budget)
+        # a nonzero beta at index i forces pdim >= i, and CM means pdim = N-1-n
+        non_cm = witness.index > config.N - 1 - config.n
         report.checks.append(
             Check(
                 label="noncm-witness",
@@ -444,9 +451,9 @@ def _verify_general(
             Check(
                 label="cm-classification",
                 detail="witness forces depth below the Krull dimension",
-                passed=True,
+                passed=non_cm,
                 expected=False,
-                actual=False,
+                actual=False if non_cm else "undecided",
             )
         )
     return report

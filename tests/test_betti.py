@@ -90,6 +90,33 @@ def test_table_determinism_and_jobs():
     assert t1.same_entries(t3)
 
 
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+    import os
+
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)  # the real worker, run in this process
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = cfg(2, 4, (2, 2))
+    cpus = os.cpu_count() or 1
+    table = graded_betti(config, jobs=cpus + 3)
+    assert requested == ([cpus] if cpus > 1 else [])
+    assert table.same_entries(graded_betti(config))
+
+
 def test_scan_range_validation():
     config = cfg(2, 4, (2, 2))
     with pytest.raises(ValueError):

@@ -139,6 +139,45 @@ def test_cli_betti_text_and_csv(capsys):
     assert out.splitlines()[0] == "i,s,value"
 
 
+def test_cli_betti_text_without_a_catalog(capsys):
+    # n=2, d=2 has no catalog: the table alone, and no error
+    code = main(["betti", "-d", "2", "--pinch", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "total:" in captured.out and "cataloged entries" not in captured.out
+    assert captured.err == ""
+
+
+def test_cli_betti_text_marks_cells_outside_the_scan(capsys):
+    code, out = run_cli(capsys, "betti", "-d", "6", "--pinch", "2",
+                        "--imax", "2", "--smax", "4")
+    assert code == 0
+    assert "  betti[5,7] = 1  [top corner] not scanned\n" in out
+    assert "  betti[3,4] = ?  [no closed form] not scanned\n" in out
+    assert "  betti[2,4] = 4  [no closed form]\n" in out
+    assert "MISMATCH" not in out
+
+
+def test_cli_betti_text_shows_errata(capsys):
+    code, out = run_cli(capsys, "betti", "-d", "5", "--pinch", "2")
+    assert code == 0
+    assert ("  betti[2,4] = 9  [C(d,2) - 1] MISMATCH (computed 6; erratum 6 ok)\n"
+            in out)
+    assert ("  betti[3,5] = 1  [C(d,3) - C(d,2) + 1] MISMATCH (computed 5; erratum 5 ok)\n"
+            in out)
+    # a cell without an erratum keeps the plain form
+    assert "  betti[4,6] = 1  [top corner] ok\n" in out
+
+
+def test_cli_betti_text_erratum_mismatch():
+    from pinched_veronese.cli import _catalog_lines
+
+    table = graded_betti(cfg(2, 5, (2, 3)))
+    table.entries[(2, 4)] = 7
+    assert ("  betti[2,4] = 9  [C(d,2) - 1] MISMATCH (computed 7; erratum 6 MISMATCH)"
+            in _catalog_lines(table))
+
+
 def test_cli_classify(capsys):
     code, out = run_cli(capsys, "classify", "-d", "5", "--pinch", "1",
                         "--format", "json")

@@ -4,6 +4,7 @@ import pytest
 
 from pinched_veronese import (
     Multidegree,
+    NonCmWitness,
     PinchConfig,
     expected_interior,
     expected_max_d,
@@ -106,6 +107,20 @@ def test_expected_interior_normalizes_pinch_index():
     assert expected_interior(5, 3).unknown == expected_interior(5, 2).unknown
 
 
+def test_expected_interior_symmetric_in_the_pinch_index():
+    # the index is normalized to min(i, d-i) before it is validated
+    for d in range(4, 13):
+        for i in range(2, d - 1):
+            assert expected_interior(d, i) == expected_interior(d, d - i), (d, i)
+
+
+def test_expected_interior_refuses_non_interior_indices():
+    for d in range(4, 13):
+        for i in (-1, 0, 1, d - 1, d, d + 1):
+            with pytest.raises(ValueError):
+                expected_interior(d, i)
+
+
 def test_expected_interior_preconditions():
     with pytest.raises(ValueError):
         expected_interior(3, 1)
@@ -190,6 +205,27 @@ def test_verify_three_vars_witness():
     assert report.all_pass
     labels = {c.label for c in report.checks}
     assert "noncm-witness" in labels
+
+
+def test_verify_three_vars_cm_classification_from_the_witness():
+    for m in ((1, 1, 1), (2, 1, 0)):
+        report = verify(cfg(3, 3, m))
+        check = next(c for c in report.checks if c.label == "cm-classification")
+        assert check.passed is True and check.actual is False, m
+
+
+def test_verify_three_vars_cm_classification_can_fail(monkeypatch):
+    import pinched_veronese.theorems as theorems
+
+    config = cfg(3, 3, (1, 1, 1))
+    real = theorems.witness_non_cm(config)
+    # homology at index N-1-n is consistent with pdim = N-1-n, i.e. with CM
+    weak = NonCmWitness(real.h, config.N - 1 - config.n, real.dimension)
+    monkeypatch.setattr(theorems, "witness_non_cm", lambda *args, **kwargs: weak)
+    report = verify(config)
+    check = next(c for c in report.checks if c.label == "cm-classification")
+    assert check.passed is False
+    assert not report.all_pass
 
 
 def test_verify_three_vars_normality():
