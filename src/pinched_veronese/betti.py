@@ -125,8 +125,7 @@ def _profiles_for_degrees(
 ):
     """Yield (s, h, profile) deterministically (s ascending, h descending lex).
 
-    jobs is capped at the CPU count, so no request starts more worker
-    processes than there are CPUs.
+    jobs is capped at the CPU count.
     """
     work: list[tuple[int, Multidegree]] = []
     for s in degrees:

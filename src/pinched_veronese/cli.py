@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, graded_betti
 from .cache import SCHEMA_VERSION, HomologyCache
@@ -92,13 +93,14 @@ def _header_and_row(obj: dict) -> list[list]:
 
 
 # -- subcommands -----------------------------------------------------------
-#
-# Each returns (exit code, JSON payload, text renderer, CSV rows with the
-# header first).  The renderer returns the text lines; main() calls it only
-# when text output is asked for.
+
+# What every subcommand returns: (exit code, JSON payload, text renderer, CSV
+# rows with the header first).  The renderer returns the text lines; main()
+# calls it only when text output is asked for.
+CommandResult = tuple[int, dict, Callable[[], list[str]], list]
 
 
-def _cmd_gens(args):
+def _cmd_gens(args) -> CommandResult:
     config = _config_from_args(args)
     gens = generate_generators(config)
     payload = {**_config_fields(config), "count": len(gens),
@@ -113,7 +115,7 @@ def _cmd_gens(args):
     return 0, payload, text, rows
 
 
-def _cmd_member(args):
+def _cmd_member(args) -> CommandResult:
     config = _config_from_args(args)
     h = _parse_vector(args.element)
     closed = is_member_closed(h, config)
@@ -134,7 +136,7 @@ def _cmd_member(args):
     return status, payload, text, _header_and_row(payload)
 
 
-def _cmd_hilbert(args):
+def _cmd_hilbert(args) -> CommandResult:
     config = _config_from_args(args)
     series = hilbert_closed(config)
     num, den = _int_coeffs(series.num), _int_coeffs(series.den)
@@ -156,7 +158,7 @@ def _cmd_hilbert(args):
     return 0, payload, text, rows
 
 
-def _cmd_hpoly(args):
+def _cmd_hpoly(args) -> CommandResult:
     config = _config_from_args(args)
     coeffs = _int_coeffs(h_polynomial(config))
     return (0, {**_config_fields(config), "coarse_coefficients": coeffs},
@@ -196,7 +198,7 @@ def _catalog_lines(table: BettiTable) -> list[str]:
     return lines
 
 
-def _cmd_betti(args):
+def _cmd_betti(args) -> CommandResult:
     table = _scan(args)
     config = table.config
     payload = {"table": table.to_json_obj()}
@@ -211,7 +213,7 @@ def _cmd_betti(args):
     return 0, payload, text, [["i", "s", "value"], *payload["table"]["entries"]]
 
 
-def _cmd_classify(args):
+def _cmd_classify(args) -> CommandResult:
     table = _scan(args)
     config = table.config
     report = classify(table).to_json_obj()
@@ -249,7 +251,7 @@ def _parse_sweep(spec: str) -> list[PinchConfig]:
             for d in range(d_lo, d_hi + 1) for i in range((d + 1) // 2 + 1)]
 
 
-def _cmd_verify(args):
+def _cmd_verify(args) -> CommandResult:
     field = FieldSpec.parse(args.field)
     configs = _parse_sweep(args.sweep) if args.sweep else [_config_from_args(args)]
     reports = [verify(config, field, cache=_cache_for(args, config, field),
@@ -277,7 +279,7 @@ def _cmd_verify(args):
     return (1 if any_fail else 0), payload, text, rows
 
 
-def _cmd_canonical(args):
+def _cmd_canonical(args) -> CommandResult:
     if args.d is None:
         raise ValueError("-d is required")
     t = canonical_partner(args.n, args.d, args.k)
@@ -293,7 +295,7 @@ def _cmd_canonical(args):
     return (0 if holds else 1), payload, text, _header_and_row(payload)
 
 
-def _cmd_dualcheck(args):
+def _cmd_dualcheck(args) -> CommandResult:
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
     elements = ([_parse_vector(args.element)] if args.element
