@@ -31,7 +31,6 @@ from .homology import (
     boundary_matrix,
     boundary_square_is_zero,
     euler_characteristic_matches,
-    homology_dimension,
     reduced_homology,
 )
 from .linalg import DEFAULT_FIELD, GF2, RATIONALS, FieldSpec, matrix_rank
@@ -113,7 +112,6 @@ __all__ = [
     "graded_betti",
     "h_polynomial",
     "hilbert_closed",
-    "homology_dimension",
     "is_member_bruteforce",
     "is_member_closed",
     "k_polynomial_check",

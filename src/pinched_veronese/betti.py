@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .complexes import build_divisor_complex, veronese_generators
 from .errors import ResourceLimitExceeded, UncertifiedTableError
-from .homology import HomologyProfile, homology_dimension, reduced_homology
+from .homology import HomologyProfile, reduced_homology
 from .linalg import DEFAULT_FIELD, FieldSpec
 from .semigroup import (
     Multidegree,
@@ -338,7 +338,7 @@ def witness_non_cm(
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
     complex_ = build_divisor_complex(h, config, size_cap=size_cap)
-    dim = homology_dimension(complex_, k, field)
+    dim = reduced_homology(complex_, field, window=(k, k))[k]
     if dim <= 0:
         raise ArithmeticError(
             f"witness construction produced trivial homology at degree {k} for {config}"

@@ -3,7 +3,8 @@
 Keys are normalized: the pinch vector is sorted descending and every h is
 mapped through the same coordinate permutation, so permuted configurations
 share cache entries.  Writes are atomic (write-temp-then-rename); anything
-unreadable or malformed is silently discarded and recomputed.
+unreadable or malformed is silently discarded and recomputed, and so is a
+file written by another homology engine (its `engine` field differs).
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .linalg import FieldSpec
 from .semigroup import Multidegree, PinchConfig
 
 SCHEMA_VERSION = "pinched-veronese/1"
+# names the code that computed the profiles; change it whenever that code
+# changes in a way that could change a stored result
+ENGINE = "bitmask-sparse/1"
 
 
 def _field_tag(field: FieldSpec) -> str:
@@ -48,7 +52,8 @@ class HomologyCache:
             raw = json.loads(self.path.read_text())
         except (OSError, ValueError):
             return
-        if not isinstance(raw, dict) or raw.get("schema") != SCHEMA_VERSION:
+        if (not isinstance(raw, dict) or raw.get("schema") != SCHEMA_VERSION
+                or raw.get("engine") != ENGINE):
             return
         profiles = raw.get("profiles")
         if not isinstance(profiles, dict):
@@ -78,6 +83,7 @@ class HomologyCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema": SCHEMA_VERSION,
+            "engine": ENGINE,
             "n": self.config.n,
             "d": self.config.d,
             "m_normalized": list(self.config.normalization()[0]),

@@ -326,8 +326,7 @@ def _cmd_dualcheck(args) -> CommandResult:
     payload = {**_config_fields(config), "field": field.label,
                "complexes_checked": checked,
                "failures": [[list(h), why] for h, why in failures]}
-    if args.element and elements:
-        c = build_divisor_complex(elements[0], config)
+    if args.element:  # c is the element's complex, built by the loop
         payload["faces"] = sorted(sorted(f) for f in c.faces)
     rows = [["element", "failure"],
             *([[" ".join(map(str, h)), why] for h, why in failures] or [["-", "none"]])]

@@ -1,20 +1,25 @@
 """Squarefree divisor complexes and their combinatorial operations.
 
 A face of the divisor complex of h is a subset F of the generators with
-h - sum(F) still in the semigroup.  Complexes are stored as frozensets of
-frozensets of generator indices, always including the empty face when the
-complex is non-void.
+h - sum(F) still in the semigroup.  A face is stored as an int bitmask over
+vertex labels (bit v set when v is in the face); a complex keeps its faces
+grouped by size, each group in lexicographic order of the sorted vertex
+tuples, and always includes the empty face (mask 0) when it is non-void.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections.abc import Set
+from functools import reduce
+from itertools import chain, combinations
+from operator import and_, or_, sub
 from typing import Callable, Iterable, Optional
 
 from .semigroup import (
     Multidegree,
     PinchConfig,
     _compositions_desc,
+    _hole_test,
     generate_generators,
     is_member_closed,
 )
@@ -22,76 +27,130 @@ from .semigroup import (
 Face = frozenset
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _vertices(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+class _FaceView(Set):
+    """The faces of a complex as a read-only set of frozensets, built on demand."""
+
+    __slots__ = ("_c",)
+    _from_iterable = frozenset
+
+    def __init__(self, c: "SimplicialComplex"):
+        self._c = c
+
+    def __len__(self) -> int:
+        return sum(map(len, self._c.levels))
+
+    def __iter__(self):
+        return (Face(_vertices(m)) for m in chain.from_iterable(self._c.levels))
+
+    def __contains__(self, f) -> bool:
+        return self._c.has_face(f)
+
+
 class SimplicialComplex:
-    """Finite abstract simplicial complex on integer vertex labels."""
+    """Finite abstract simplicial complex on non-negative integer vertex labels.
 
-    __slots__ = ("ground", "faces", "degree")
+    `levels[k]` holds the masks of the faces with k vertices, in
+    lexicographic order; the void complex has no levels.
+    """
 
-    def __init__(self, ground: Iterable[int], faces, degree: Optional[Multidegree] = None):
+    __slots__ = ("ground", "levels", "degree")
+
+    def __init__(self, ground: Iterable[int], faces=(), degree: Optional[Multidegree] = None,
+                 levels: Optional[tuple[tuple[int, ...], ...]] = None):
         self.ground = tuple(sorted(set(ground)))
-        self.faces = frozenset(Face(f) for f in faces)
+        if levels is None:
+            masks = {_mask(f) for f in faces}
+            levels = tuple(
+                tuple(sorted((m for m in masks if m.bit_count() == k), key=_vertices))
+                for k in range(max((m.bit_count() + 1 for m in masks), default=0))
+            )
+        self.levels = levels
         self.degree = degree
 
     # -- basic queries -------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.levels
 
     @property
-    def ground_size(self) -> int:
-        return len(self.ground)
+    def faces(self) -> _FaceView:
+        return _FaceView(self)
+
+    def _support_mask(self) -> int:
+        return reduce(or_, chain.from_iterable(self.levels), 0)
 
     def support(self) -> tuple[int, ...]:
         """Vertices that actually appear in some face."""
-        verts: set[int] = set()
-        for f in self.faces:
-            verts.update(f)
-        return tuple(sorted(verts))
+        return tuple(_vertices(self._support_mask()))
 
     @property
     def dim(self) -> int:
         """Dimension (max face size - 1); -1 for {empty face}, -2 for void."""
-        if self.is_void:
-            return -2
-        return max(len(f) for f in self.faces) - 1
+        return len(self.levels) - 2
 
     def faces_of_dim(self, k: int) -> list[tuple[int, ...]]:
         """All k-dimensional faces as sorted tuples, in lexicographic order."""
-        out = [tuple(sorted(f)) for f in self.faces if len(f) == k + 1]
-        out.sort()
-        return out
+        if not 0 <= k + 1 < len(self.levels):
+            return []
+        return [tuple(_vertices(m)) for m in self.levels[k + 1]]
 
     def has_face(self, f) -> bool:
-        return Face(f) in self.faces
+        m = _mask(f)
+        k = m.bit_count()
+        return k < len(self.levels) and m in self.levels[k]
 
     def is_cone(self) -> bool:
-        """True if some vertex belongs to every maximal face (contractible)."""
-        for v in self.support():
-            vf = Face((v,))
-            if all((f | vf) in self.faces for f in self.faces):
-                return True
-        return False
+        """True if some vertex belongs to every maximal face (contractible).
+
+        Such an apex lies in every face of top size, and (by downward closure,
+        F -> F - {v} being one to one) it is one exactly when half the faces
+        contain it.
+        """
+        if len(self.levels) < 2:
+            return False
+        faces = list(chain.from_iterable(self.levels))
+        apexes = _vertices(reduce(and_, self.levels[-1]))
+        return any(2 * sum(1 for f in faces if f >> v & 1) == len(faces) for v in apexes)
 
     def canonical_form(self) -> tuple:
-        """Relabeled face list, invariant under vertex renaming; cache key."""
-        sup = self.support()
-        relabel = {v: j for j, v in enumerate(sup)}
-        return tuple(sorted(tuple(sorted(relabel[v] for v in f)) for f in self.faces))
+        """Face masks with the unused vertex bits squeezed out; the memo key.
+
+        Invariant under order-preserving relabelings of the vertices.
+        """
+        sup = self._support_mask()
+        key = self.levels
+        for v in reversed(range(sup.bit_length())):
+            if not sup >> v & 1:  # drop bit v, moving the bits above it down
+                low = (1 << v) - 1
+                key = tuple(tuple(f >> 1 & ~low | f & low for f in level) for level in key)
+        return key
 
     def validate(self) -> None:
         """Check downward closure and the empty-face convention."""
         if self.is_void:
             return
-        if Face() not in self.faces:
+        if 0 not in self.levels[0]:
             raise ValueError("non-void complex is missing the empty face")
-        for f in self.faces:
-            for v in f:
-                if f - {v} not in self.faces:
-                    raise ValueError(f"not downward closed at {tuple(sorted(f))}")
-        stray = set().union(*self.faces) - set(self.ground) if self.faces else set()
+        masks = set(chain.from_iterable(self.levels))
+        for f in masks:
+            for v in _vertices(f):
+                if f ^ (1 << v) not in masks:
+                    raise ValueError(f"not downward closed at {tuple(_vertices(f))}")
+        stray = self._support_mask() & ~_mask(self.ground)
         if stray:
-            raise ValueError(f"faces use vertices outside the ground set: {sorted(stray)}")
+            raise ValueError(f"faces use vertices outside the ground set: {_vertices(stray)}")
 
     # -- constructors --------------------------------------------------
 
@@ -102,26 +161,26 @@ class SimplicialComplex:
     @classmethod
     def full_simplex(cls, vertices: Iterable[int]) -> "SimplicialComplex":
         vs = tuple(sorted(set(vertices)))
-        faces = [Face(c) for k in range(len(vs) + 1) for c in combinations(vs, k)]
+        faces = [c for k in range(len(vs) + 1) for c in combinations(vs, k)]
         return cls(vs, faces)
 
     @classmethod
     def simplex_boundary(cls, vertices: Iterable[int]) -> "SimplicialComplex":
         vs = tuple(sorted(set(vertices)))
-        faces = [Face(c) for k in range(len(vs)) for c in combinations(vs, k)]
+        faces = [c for k in range(len(vs)) for c in combinations(vs, k)]
         return cls(vs, faces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.ground == other.ground and self.faces == other.faces
+        return self.ground == other.ground and self.levels == other.levels
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.faces))
+        return hash((self.ground, self.levels))
 
     def __repr__(self) -> str:
         return (
-            f"SimplicialComplex(ground_size={self.ground_size}, "
+            f"SimplicialComplex(ground_size={len(self.ground)}, "
             f"faces={len(self.faces)}, dim={self.dim})"
         )
 
@@ -129,46 +188,63 @@ class SimplicialComplex:
 def _grow_complex(
     h: Multidegree,
     gens,
-    member: Callable[[Multidegree], bool],
-    allowed: Optional[set[int]] = None,
+    is_hole: Callable[[tuple[int, ...]], bool],
+    allowed: Optional[Iterable[int]] = None,
     size_cap: Optional[int] = None,
-) -> set[Face]:
-    """Level-by-level construction of {F : h - sum(F) in H}.
+) -> tuple[tuple[int, ...], ...]:
+    """Levels of {F : h - sum(F) in H}, for h in H; at most `size_cap` vertices a face.
 
-    Only supersets of existing faces are tested (downward closure prunes the
-    search).  `size_cap` truncates the construction above a face size; the
-    result is then only the capped skeleton.
+    Every remainder has a total that is a multiple of d, so it is in H exactly
+    when it is non-negative and not a hole.  ext[f] masks the vertices u above
+    max(f) with f + u a face; f + u can be a face only if u is in ext[f - w]
+    for every w in f (downward closure) and gens[u] fits under f's remainder.
     """
-    if not member(h):
-        return set()
-    n_gens = len(gens)
-    verts = range(n_gens) if allowed is None else sorted(allowed)
-    remainder = {Face(): h}
-    faces: set[Face] = {Face()}
-    level: list[Face] = [Face()]
-    while level:
-        nxt: list[Face] = []
+    verts = range(len(gens)) if allowed is None else allowed
+    cap = len(gens) if size_cap is None else size_cap
+    gen_of = {1 << v: tuple(gens[v]) for v in verts}
+    # fits[c][x]: the vertices whose generator has c-th coordinate at most x
+    top = max((max(g) for g in gen_of.values()), default=0)
+    fits = [[0] * (top + 1) for _ in h]
+    for b, g in gen_of.items():
+        for row, x in zip(fits, g):
+            row[x] |= b
+    for row in fits:
+        for x in range(top):
+            row[x + 1] |= row[x]
+    levels = [(0,)]
+    ext: dict[int, int] = {}
+    rem = {0: tuple(h)}
+    while len(levels) <= cap:
+        level = levels[-1]
+        next_ext: dict[int, int] = {}
+        next_rem: dict[int, tuple[int, ...]] = {}
+        nxt = []
         for f in level:
-            if size_cap is not None and len(f) >= size_cap:
-                continue
-            rem_f = remainder[f]
-            top = max(f) if f else -1
-            for v in verts:
-                if v <= top:
-                    continue
-                g = f | {v}
-                if g in faces:
-                    continue
-                if any((g - {w}) not in faces for w in g):
-                    continue
-                rem = rem_f.minus(gens[v])
-                if rem is None or not member(rem):
-                    continue
-                faces.add(g)
-                remainder[g] = rem
-                nxt.append(g)
-        level = nxt
-    return faces
+            rf = rem[f]
+            cand = -(1 << f.bit_length())
+            for fit, x in zip(fits, rf):
+                cand &= fit[x if x < top else top]
+            rest = f
+            while rest and cand:
+                w = rest & -rest
+                cand &= ext[f ^ w]
+                rest ^= w
+            e = 0
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                r = tuple(map(sub, rf, gen_of[b]))
+                if not is_hole(r):
+                    e |= b
+                    g = f | b
+                    nxt.append(g)
+                    next_rem[g] = r
+            next_ext[f] = e
+        if not nxt:
+            break
+        levels.append(tuple(nxt))
+        ext, rem = next_ext, next_rem
+    return tuple(levels)
 
 
 def build_divisor_complex(
@@ -177,13 +253,12 @@ def build_divisor_complex(
     """Divisor complex of h over the pinched generators; void when h is not in H."""
     h = Multidegree(h)
     gens = generate_generators(config).gens
-    faces = _grow_complex(h, gens, lambda x: is_member_closed(x, config), size_cap=size_cap)
-    return SimplicialComplex(range(len(gens)), faces, degree=h)
-
-
-def _veronese_member(h: Multidegree, d: int) -> bool:
-    # the unpinched Veronese semigroup contains every vector of degree t*d
-    return h.total % d == 0
+    levels = (
+        _grow_complex(h, gens, _hole_test(config), size_cap=size_cap)
+        if is_member_closed(h, config)
+        else ()
+    )
+    return SimplicialComplex(range(len(gens)), degree=h, levels=levels)
 
 
 def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
@@ -201,9 +276,10 @@ def build_veronese_complex(
     """
     h = Multidegree(h)
     gens = veronese_generators(n, d)
-    faces = _grow_complex(h, gens, lambda x: _veronese_member(x, d), allowed=allowed)
     ground = range(len(gens)) if allowed is None else sorted(allowed)
-    return SimplicialComplex(ground, faces, degree=h)
+    # the unpinched Veronese semigroup contains every vector of degree t*d
+    levels = _grow_complex(h, gens, lambda r: False, ground) if h.total % d == 0 else ()
+    return SimplicialComplex(ground, degree=h, levels=levels)
 
 
 def alexander_dual(
@@ -219,15 +295,11 @@ def alexander_dual(
     if c.is_void:
         raise ValueError("the void complex has no Alexander dual")
     sup = tuple(ground) if ground is not None else c.support()
-    if not set(c.support()) <= set(sup):
+    if c._support_mask() & ~_mask(sup):
         raise ValueError("ground set must contain the vertex support")
-    v_all = Face(sup)
-    dual_faces = []
-    for k in range(len(sup) + 1):
-        for sub in combinations(sorted(sup), k):
-            if Face(sub) not in c.faces:
-                dual_faces.append(v_all - Face(sub))
-    return SimplicialComplex(sup, dual_faces)
+    masks = set(chain.from_iterable(c.levels))
+    subsets = (_mask(f) for k in range(len(sup) + 1) for f in combinations(sup, k))
+    return SimplicialComplex(sup, [_vertices(_mask(sup) ^ m) for m in subsets if m not in masks])
 
 
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
@@ -238,9 +310,12 @@ def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     """
     if v not in c.ground:
         raise ValueError(f"vertex {v} is not in the ground set")
-    vf = Face((v,))
-    faces = [f for f in c.faces if (f | vf) in c.faces]
-    return SimplicialComplex(c.ground, faces, degree=c.degree)
+    b = 1 << v
+    masks = set(chain.from_iterable(c.levels))
+    levels = tuple(tuple(f for f in level if f | b in masks) for level in c.levels)
+    while levels and not levels[-1]:
+        levels = levels[:-1]
+    return SimplicialComplex(c.ground, degree=c.degree, levels=levels)
 
 
 def decomposition_check(h, d: int, i: int) -> bool:
@@ -264,16 +339,12 @@ def decomposition_check(h, d: int, i: int) -> bool:
     m_idx = full_gens.index(m)
 
     unpinched = build_veronese_complex(h, 2, d)
-    allowed = set(range(len(full_gens))) - {m_idx}
-    pinched_faces = _grow_complex(
-        h, full_gens, lambda x: is_member_closed(x, config), allowed=allowed
-    )
-    fat_link = link(unpinched, m_idx)
+    allowed = [v for v in range(len(full_gens)) if v != m_idx]
+    pinched = set(chain.from_iterable(
+        _grow_complex(h, full_gens, _hole_test(config), allowed)
+        if is_member_closed(h, config) else ()))
+    fat_link = set(chain.from_iterable(link(unpinched, m_idx).levels))
 
-    if unpinched.faces != (pinched_faces | fat_link.faces):
+    if set(chain.from_iterable(unpinched.levels)) != pinched | fat_link:
         return False
-    if h.total == i * d:
-        intersection = pinched_faces & fat_link.faces
-        if any(len(f) - 1 >= i - 2 for f in intersection):
-            return False
-    return True
+    return h.total != i * d or all(f.bit_count() - 1 < i - 2 for f in pinched & fat_link)

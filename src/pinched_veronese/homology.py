@@ -7,7 +7,7 @@ complex of 0 yields the Betti number 1 in homological degree 0.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .complexes import SimplicialComplex
 from .linalg import DEFAULT_FIELD, FieldSpec, matrix_rank
@@ -67,22 +67,28 @@ class HomologyProfile:
         return f"HomologyProfile({dict(self.items())})"
 
 
-def boundary_matrix(c: SimplicialComplex, k: int) -> tuple[list[list[int]], int]:
-    """Matrix of the boundary map from k-chains to (k-1)-chains.
+def boundary_matrix(c: SimplicialComplex, k: int) -> tuple[list[dict[int, int]], int]:
+    """Sparse matrix of the boundary map from k-chains to (k-1)-chains.
 
-    Rows are indexed by the k-faces in lexicographic order, columns by the
-    (k-1)-faces; signs come from the position parity in the sorted face, so
-    the matrix is deterministic across runs.  Degree -1 is the span of the
-    empty face.
+    Row r is {column: +-1} for the r-th k-face in lexicographic order;
+    columns index the (k-1)-faces in the same order.  Removing the j-th
+    smallest vertex has sign (-1)^j, so the matrix is deterministic across
+    runs.  Degree -1 is the span of the empty face.
     """
-    upper = c.faces_of_dim(k)
-    lower = c.faces_of_dim(k - 1)
-    index = {f: i for i, f in enumerate(lower)}
+    levels = c.levels
+    upper = levels[k + 1] if 0 <= k + 1 < len(levels) else ()
+    lower = levels[k] if 0 <= k < len(levels) else ()
+    index = {f: j for j, f in enumerate(lower)}
     rows = []
     for f in upper:
-        row = [0] * len(lower)
-        for j in range(len(f)):
-            row[index[f[:j] + f[j + 1 :]]] = -1 if j % 2 else 1
+        row = {}
+        sign = 1
+        rest = f
+        while rest:
+            v = rest & -rest
+            row[index[f ^ v]] = sign
+            sign = -sign
+            rest ^= v
         rows.append(row)
     return rows, len(lower)
 
@@ -90,17 +96,14 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> tuple[list[list[int]], int]
 def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     """Exact integer check that consecutive boundary maps compose to zero."""
     for k in range(0, c.dim + 1):
-        rows_k1, _ = boundary_matrix(c, k + 1)   # (k+1)-faces -> k-faces
-        rows_k, ncols_k = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
-        if not rows_k1 or not rows_k:
-            continue
+        rows_k1, _ = boundary_matrix(c, k + 1)  # (k+1)-faces -> k-faces
+        rows_k, _ = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
         for row in rows_k1:
-            composed = [0] * ncols_k
-            for j, a in enumerate(row):
-                if a:
-                    for t, b in enumerate(rows_k[j]):
-                        composed[t] += a * b
-            if any(composed):
+            composed: dict[int, int] = {}
+            for j, a in row.items():
+                for t, b in rows_k[j].items():
+                    composed[t] = composed.get(t, 0) + a * b
+            if any(composed.values()):
                 return False
     return True
 
@@ -108,15 +111,25 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
 _profile_cache: dict[tuple, HomologyProfile] = {}
 
 
-def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> HomologyProfile:
-    """All reduced homology dimensions of c over the given field.
+def reduced_homology(
+    c: SimplicialComplex,
+    field: FieldSpec = DEFAULT_FIELD,
+    window: Optional[tuple[int, int]] = None,
+) -> HomologyProfile:
+    """Reduced homology dimensions of c over the given field.
 
     dim H~_k = (#k-faces) - rank(boundary_k) - rank(boundary_{k+1}); cones are
-    recognized and short-circuited to the trivial profile.  Results are memoized
-    on the relabeled face list, which is invariant under vertex renaming.
+    recognized and short-circuited to the trivial profile.  Full profiles are
+    memoized on the canonical form, which is invariant under order-preserving
+    vertex relabeling.  `window = (lo, hi)` computes only the degrees
+    lo..hi (the rest read 0) and needs only the faces of dimension lo-1..hi+1,
+    so it is safe on a skeleton built with a size cap of at least hi+2; such
+    results bypass the memo.
     """
     if c.is_void:
         return HomologyProfile()
+    if window is not None:
+        return _compute_profile(c, field, window)
     key = (c.canonical_form(), field.p)
     hit = _profile_cache.get(key)
     if hit is not None:
@@ -126,46 +139,26 @@ def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> 
     return profile
 
 
-def _compute_profile(c: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    top = c.dim
-    if top == -1:  # only the empty face
-        return HomologyProfile({-1: 1})
+def _compute_profile(
+    c: SimplicialComplex, field: FieldSpec, window: Optional[tuple[int, int]] = None
+) -> HomologyProfile:
     if c.is_cone():
         return HomologyProfile()
-    counts = {k: len(c.faces_of_dim(k)) for k in range(-1, top + 1)}
+    top = c.dim
+    lo, hi = (-1, top) if window is None else (window[0], min(window[1], top))
     ranks = {}
-    for k in range(0, top + 1):
+    for k in range(max(lo, 0), min(hi + 1, top) + 1):
         rows, ncols = boundary_matrix(c, k)
         ranks[k] = matrix_rank(rows, ncols, field)
-    dims = {}
-    for k in range(-1, top + 1):
-        dims[k] = counts.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-    return HomologyProfile(dims)
-
-
-def homology_dimension(
-    c: SimplicialComplex, k: int, field: FieldSpec = DEFAULT_FIELD
-) -> int:
-    """dim H~_k only; needs faces of dimensions k-1..k+1.
-
-    Safe on complexes built with a size cap of at least k+2, where the full
-    profile would be meaningless.
-    """
-    if c.is_void:
-        return 0
-    n_k = len(c.faces_of_dim(k))
-    if n_k == 0:
-        return 1 if k == -1 and not c.is_void else 0
-    rows_k, ncols_k = boundary_matrix(c, k)
-    rows_k1, _ = boundary_matrix(c, k + 1)
-    rank_k = matrix_rank(rows_k, ncols_k, field)
-    rank_k1 = matrix_rank(rows_k1, n_k, field)
-    return n_k - rank_k - rank_k1
+    return HomologyProfile({
+        k: len(c.levels[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        for k in range(max(lo, -1), hi + 1)
+    })
 
 
 def euler_characteristic_matches(c: SimplicialComplex, profile: HomologyProfile) -> bool:
     """Face-count Euler characteristic equals the homological one (non-void c)."""
     if c.is_void:
         return profile.is_trivial
-    chi_faces = sum(1 if len(f) % 2 else -1 for f in c.faces)
+    chi_faces = sum(len(level) if k % 2 else -len(level) for k, level in enumerate(c.levels))
     return chi_faces == profile.euler_characteristic()

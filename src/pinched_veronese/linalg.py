@@ -1,28 +1,19 @@
 """Exact matrix rank over prime fields and the rationals.
 
-Boundary matrices here are small (a few hundred columns at desk scale) and
-integer-valued, so dense elimination is enough; the interfaces take plain
-list-of-row-lists and never touch floating point.
+Matrices are lists of sparse integer rows ({column: value}).  Boundary rows
+have k+1 entries of +-1 among hundreds or thousands of columns, so rows are
+eliminated against a dictionary of pivot rows keyed by leading column, and
+never densified.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -61,14 +52,11 @@ GF2 = FieldSpec(2)
 RATIONALS = FieldSpec(None)
 
 
-def _rank_gf2(rows: list[list[int]]) -> int:
+def _rank_gf2(rows: list[dict[int, int]]) -> int:
     # rows as bitmasks, reduced into an xor basis keyed by highest set bit
     basis: dict[int, int] = {}
     for r in rows:
-        m = 0
-        for j, a in enumerate(r):
-            if a & 1:
-                m |= 1 << j
+        m = sum(1 << j for j, a in r.items() if a & 1)
         while m:
             hb = m.bit_length() - 1
             if hb in basis:
@@ -79,72 +67,58 @@ def _rank_gf2(rows: list[list[int]]) -> int:
     return len(basis)
 
 
-def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
-    mat = [[a % p for a in r] for r in rows]
-    mat = [r for r in mat if any(r)]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if mat[i][col]:
-                piv = i
+def _rank_sparse(rows: list[dict[int, int]], p: int | None) -> int:
+    """Rank over GF(p), or over the rationals when p is None.
+
+    Each row is reduced against the pivot row of its leading (largest)
+    column until that column is new; on boundary rows in lexicographic
+    order, leading with the largest column keeps the fill-in small.  Over
+    GF(p) pivot rows are scaled to a leading 1.  Over the rationals rows stay
+    integral: with leading entries a (row) and b (pivot), the row becomes
+    (b/g)*row - (a/g)*pivot for g = gcd(a, b), and its content is divided
+    out, so every step is exact.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        if p is None:
+            row = {j: a for j, a in r.items() if a}
+        else:
+            row = {j: a % p for j, a in r.items() if a % p}
+        while row:
+            col = max(row)
+            prow = pivots.get(col)
+            if prow is None:
+                if p is not None and row[col] != 1:
+                    inv = pow(row[col], -1, p)
+                    row = {j: a * inv % p for j, a in row.items()}
+                pivots[col] = row
                 break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        prow = [(a * inv) % p for a in mat[rank]]
-        mat[rank] = prow
-        for i in range(rank + 1, nrows):
-            f = mat[i][col]
-            if f:
-                row = mat[i]
-                mat[i] = [(a - f * b) % p for a, b in zip(row, prow)]
-        rank += 1
-        col += 1
-    return rank
+            a = row[col]
+            if p is None:
+                b = prow[col]
+                g = gcd(a, b)
+                x, a = b // g, a // g
+                if x != 1:
+                    row = {j: x * v for j, v in row.items()}
+            for j, v in prow.items():
+                w = row.get(j, 0) - a * v
+                if p is not None:
+                    w %= p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+            if p is None and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {j: v // g for j, v in row.items()}
+    return len(pivots)
 
 
-def _rank_fraction_free(rows: list[list[int]], ncols: int) -> int:
-    # Bareiss elimination: every division below is exact, so the rank over
-    # the rationals is computed without ever forming a fraction
-    mat = [list(r) for r in rows if any(r)]
-    nrows = len(mat)
-    rank = 0
-    col = 0
-    prev = 1
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pivot = mat[rank][col]
-        prow = mat[rank]
-        for i in range(rank + 1, nrows):
-            row = mat[i]
-            f = row[col]
-            for j in range(col, ncols):
-                row[j] = (pivot * row[j] - f * prow[j]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
-
-
-def matrix_rank(rows: list[list[int]], ncols: int, field: FieldSpec) -> int:
-    """Rank of an integer matrix over the given field."""
+def matrix_rank(rows: list[dict[int, int]], ncols: int, field: FieldSpec) -> int:
+    """Rank of a sparse integer matrix over the given field."""
     if not rows or ncols == 0:
         return 0
-    if field.is_rationals:
-        return _rank_fraction_free(rows, ncols)
     if field.p == 2:
         return _rank_gf2(rows)
-    return _rank_mod_p(rows, ncols, field.p)
+    return _rank_sparse(rows, field.p)

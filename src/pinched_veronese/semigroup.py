@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 
 class Multidegree(tuple):
@@ -157,45 +157,45 @@ def generate_generators(config: PinchConfig) -> GeneratorSet:
     return GeneratorSet(gens=gens, N=config.N)
 
 
-def is_member_closed(h, config: PinchConfig) -> bool:
-    """Closed-form membership test for h in the pinched semigroup.
+@lru_cache(maxsize=None)
+def _hole_test(config: PinchConfig) -> Callable[[tuple[int, ...]], bool]:
+    """Predicate for the vectors of N^n with total a positive multiple of d not in H.
 
-    h = 0 is a member (empty sum).  Otherwise |h| must equal t*d with t >= 1,
-    and the missing elements in degree t*d are:
+    Only meaningful on such vectors (and on 0, which is never a hole):
       max m = d   (d at position p): everything with |h| - h_p < t;
       max m = d-1 (d-1 at p, 1 at r): the single vector (td-1)e_p + e_r;
       max m < d-1: only m itself (degree d).
     """
+    d = config.d
+    cls = config.pinch_class
+    if cls is PinchClass.MAX_D:
+        p = config.m.index(d)
+        return lambda h: sum(h) - h[p] < sum(h) // d
+    if cls is PinchClass.MAX_D_MINUS_1:
+        p = config.m.index(d - 1)
+        r = next(j for j in range(config.n) if j != p and config.m[j] == 1)
+        rest = [j for j in range(config.n) if j not in (p, r)]
+        if d == 2:
+            # removing (1,1,0,...,0) leaves no generator pairing positions p
+            # and r, so everything odd at both and zero elsewhere is missing
+            return lambda h: h[p] % 2 == 1 and h[r] % 2 == 1 and not any(h[j] for j in rest)
+        return lambda h: h[r] == 1 and not any(h[j] for j in rest)
+    m = tuple(config.m)
+    return lambda h: h == m
+
+
+def is_member_closed(h, config: PinchConfig) -> bool:
+    """Closed-form membership test for h in the pinched semigroup.
+
+    h = 0 is a member (empty sum).  Otherwise |h| must equal t*d with t >= 1,
+    and h must not be one of the missing vectors of `_hole_test`.
+    """
     h = Multidegree(h)
     if len(h) != config.n:
         raise ValueError(f"dimension mismatch: len(h)={len(h)}, n={config.n}")
-    total = h.total
-    if total == 0:
-        return True
-    t, rem = divmod(total, config.d)
-    if rem != 0 or t < 1:
+    if h.total % config.d != 0:
         return False
-    cls = config.pinch_class
-    if cls is PinchClass.MAX_D:
-        p = config.m.index(config.d)
-        return total - h[p] >= t
-    if cls is PinchClass.MAX_D_MINUS_1:
-        p = config.m.index(config.d - 1)
-        r = next(j for j in range(config.n) if j != p and config.m[j] == 1)
-        if config.d == 2:
-            # removing (1,1,0,...,0) leaves no generator pairing positions p
-            # and r, so everything odd at both and zero elsewhere is missing
-            return not (
-                h[p] % 2 == 1
-                and h[r] % 2 == 1
-                and all(h[j] == 0 for j in range(config.n) if j not in (p, r))
-            )
-        missing = tuple(
-            t * config.d - 1 if j == p else (1 if j == r else 0)
-            for j in range(config.n)
-        )
-        return tuple(h) != missing
-    return tuple(h) != tuple(config.m)
+    return not _hole_test(config)(h)
 
 
 @lru_cache(maxsize=None)

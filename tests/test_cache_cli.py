@@ -11,6 +11,7 @@ from pinched_veronese import (
     graded_betti,
     reduced_homology,
 )
+from pinched_veronese.cache import ENGINE
 from pinched_veronese.cli import main
 
 
@@ -60,12 +61,38 @@ def test_cache_discards_corruption(tmp_path):
     # malformed single entry is skipped, valid ones survive
     payload = {
         "schema": SCHEMA_VERSION,
+        "engine": ENGINE,
         "profiles": {"4,4": [[0, 1]], "8,0": "garbage"},
     }
     cache.path.write_text(json.dumps(payload))
     mixed = HomologyCache(tmp_path, config, DEFAULT_FIELD)
     assert mixed.get(Multidegree((4, 4))) == HomologyProfile({0: 1})
     assert mixed.get(Multidegree((8, 0))) is None
+
+
+def test_cache_recomputes_profiles_of_another_engine(tmp_path):
+    config = cfg(2, 5, (2, 3))
+    h = Multidegree((4, 6))
+    cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    cache.put(h, HomologyProfile({0: 99}))
+    cache.save()
+    raw = json.loads(cache.path.read_text())
+    assert raw["engine"] == ENGINE
+    for stale in ("older-engine", None):
+        if stale is None:
+            del raw["engine"]
+        else:
+            raw["engine"] = stale
+        cache.path.write_text(json.dumps(raw))
+        reloaded = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+        assert reloaded.get(h) is None
+        assert len(reloaded) == 0
+    # a scan through the stale file computes the true profile and rewrites it
+    table = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    assert table.same_entries(graded_betti(config))
+    rewritten = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    assert rewritten.get(h) == reduced_homology(build_divisor_complex(h, config))
+    assert json.loads(cache.path.read_text())["engine"] == ENGINE
 
 
 def test_cache_files_separate_by_field(tmp_path):

@@ -101,6 +101,46 @@ def test_face_membership_matches_definition():
             assert c.has_face(sub) == expected, sub
 
 
+@pytest.mark.parametrize("n, d, m, t_max", [
+    (2, 4, (4, 0), 4), (2, 4, (3, 1), 4), (2, 5, (2, 3), 4),
+    (2, 2, (2, 0), 6), (2, 2, (1, 1), 6),
+    (3, 3, (3, 0, 0), 3), (3, 3, (2, 1, 0), 3), (3, 3, (1, 1, 1), 3),
+    (3, 2, (1, 1, 0), 4),
+])
+def test_faces_match_bruteforce_membership(n, d, m, t_max):
+    # every h of degree t*d, members or not, against {F : h - sum(F) in H}
+    # decided by the dynamic-programming oracle
+    from pinched_veronese import is_member_bruteforce
+    from pinched_veronese.semigroup import _compositions_desc
+
+    config = cfg(n, d, m)
+    gens = generate_generators(config)
+    for t in range(t_max + 1):
+        for h in map(Multidegree, _compositions_desc(t * d, n)):
+            expected = set()
+            for k in range(min(t, len(gens)) + 1):
+                for sub in itertools.combinations(range(len(gens)), k):
+                    rem = h
+                    for v in sub:
+                        rem = rem.minus(gens[v])
+                        if rem is None:
+                            break
+                    if rem is not None and is_member_bruteforce(rem, config):
+                        expected.add(F(*sub))
+            c = build_divisor_complex(h, config)
+            assert c.faces == expected, (config, h)
+            assert c.is_void == (not expected)
+
+
+def test_size_cap_gives_the_skeleton():
+    config = cfg(2, 6, (2, 4))
+    for h in enumerate_degree(config, 4):
+        full = build_divisor_complex(h, config)
+        for cap in range(0, 5):
+            capped = build_divisor_complex(h, config, size_cap=cap)
+            assert capped.faces == {f for f in full.faces if len(f) <= cap}, (h, cap)
+
+
 def test_canonical_form_is_relabel_invariant():
     a = SimplicialComplex((0, 1, 2), [F(), F(0), F(1), F(2), F(0, 1)])
     b = SimplicialComplex((4, 7, 9), [F(), F(4), F(7), F(9), F(4, 7)])

@@ -16,7 +16,6 @@ from pinched_veronese import (
     build_divisor_complex,
     enumerate_degree,
     euler_characteristic_matches,
-    homology_dimension,
     matrix_rank,
     reduced_homology,
 )
@@ -61,14 +60,19 @@ def rank_oracle(rows, ncols, p=None):
     return rank
 
 
+def sparse(rows):
+    """Dense rows as the sparse {column: value} rows that matrix_rank takes."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def test_rank_known_matrices():
-    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    sing = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    ident = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    sing = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     for field in FIELDS:
         assert matrix_rank(ident, 3, field) == 3
         assert matrix_rank(sing, 3, field) == 2
     # rank can drop in finite characteristic
-    twos = [[2]]
+    twos = sparse([[2]])
     assert matrix_rank(twos, 1, GF2) == 0
     assert matrix_rank(twos, 1, RATIONALS) == 1
 
@@ -83,9 +87,9 @@ def test_rank_against_oracle(nrows, ncols, data):
     rows = [
         [data.draw(st.integers(-4, 4)) for _ in range(ncols)] for _ in range(nrows)
     ]
-    assert matrix_rank(rows, ncols, RATIONALS) == rank_oracle(rows, ncols)
-    assert matrix_rank(rows, ncols, GF2) == rank_oracle(rows, ncols, 2)
-    assert matrix_rank(rows, ncols, FieldSpec(5)) == rank_oracle(rows, ncols, 5)
+    assert matrix_rank(sparse(rows), ncols, RATIONALS) == rank_oracle(rows, ncols)
+    assert matrix_rank(sparse(rows), ncols, GF2) == rank_oracle(rows, ncols, 2)
+    assert matrix_rank(sparse(rows), ncols, FieldSpec(5)) == rank_oracle(rows, ncols, 5)
 
 
 def test_fieldspec_validation_and_parse():
@@ -152,20 +156,21 @@ def test_boundary_matrix_shape_and_signs():
     c = SimplicialComplex.full_simplex(range(3))
     rows, ncols = boundary_matrix(c, 1)  # edges -> vertices
     assert len(rows) == 3 and ncols == 3
-    for row in rows:
-        assert sorted(row) == [-1, 0, 1]
+    # edges 01, 02, 12; removing the j-th smallest vertex has sign (-1)^j
+    assert rows == [{1: 1, 0: -1}, {2: 1, 0: -1}, {2: 1, 1: -1}]
     rows0, ncols0 = boundary_matrix(c, 0)  # vertices -> empty face
-    assert rows0 == [[1], [1], [1]] and ncols0 == 1
+    assert rows0 == [{0: 1}, {0: 1}, {0: 1}] and ncols0 == 1
 
 
-def test_homology_dimension_matches_full_profile():
+def test_windowed_homology_matches_full_profile():
     config = PinchConfig(2, 5, Multidegree((2, 3)))
     for t in range(1, 5):
         for h in enumerate_degree(config, t):
             c = build_divisor_complex(h, config)
             prof = reduced_homology(c)
             for k in range(-1, c.dim + 1):
-                assert homology_dimension(c, k) == prof[k], (h, k)
+                assert reduced_homology(c, window=(k, k)).items() == (
+                    [(k, prof[k])] if prof[k] else []), (h, k)
 
 
 def test_boundary_square_zero_on_divisor_complexes():
@@ -225,3 +230,79 @@ def test_cross_field_agreement_small_family():
                 c = build_divisor_complex(h, config)
                 profiles = [reduced_homology(c, f) for f in FIELDS]
                 assert profiles[0] == profiles[1] == profiles[2], (config, h)
+
+
+# -- sparse kernels against the dense oracle ---------------------------------
+
+
+@st.composite
+def downward_closed_complexes(draw, max_vertices=7):
+    n_verts = draw(st.integers(1, max_vertices))
+    verts = list(range(n_verts))
+    maximal = draw(st.lists(st.sets(st.sampled_from(verts), min_size=1), min_size=1, max_size=6))
+    return from_facets([sorted(f) for f in maximal])
+
+
+def dense_boundary(c, k):
+    """Boundary matrix from sorted face tuples, independent of boundary_matrix."""
+    lower = sorted(tuple(sorted(f)) for f in c.faces if len(f) == k)
+    index = {f: j for j, f in enumerate(lower)}
+    rows = []
+    for f in sorted(tuple(sorted(f)) for f in c.faces if len(f) == k + 1):
+        row = [0] * len(lower)
+        for j in range(len(f)):
+            row[index[f[:j] + f[j + 1:]]] = (-1) ** j
+        rows.append(row)
+    return rows, len(lower)
+
+
+@given(downward_closed_complexes())
+@settings(max_examples=60, deadline=None)
+def test_reduced_homology_matches_dense_oracle(c):
+    c.validate()
+    counts = {k: sum(1 for f in c.faces if len(f) == k + 1) for k in range(-1, c.dim + 1)}
+    for p in (2, 5, 32003, None):
+        ranks = {k: rank_oracle(*dense_boundary(c, k), p) for k in range(0, c.dim + 2)}
+        expected = {k: counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                    for k in range(-1, c.dim + 1)}
+        field = RATIONALS if p is None else FieldSpec(p)
+        assert reduced_homology(c, field) == HomologyProfile(expected), p
+
+
+@given(downward_closed_complexes())
+@settings(max_examples=60, deadline=None)
+def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
+    for k in range(0, c.dim + 2):
+        rows, ncols = boundary_matrix(c, k)
+        dense, dense_ncols = dense_boundary(c, k)
+        assert ncols == dense_ncols
+        assert rows == [{j: a for j, a in enumerate(row) if a} for row in dense]
+    for k in range(1, c.dim + 1):
+        upper, _ = boundary_matrix(c, k)
+        lower, _ = boundary_matrix(c, k - 1)
+        for row in upper:
+            composed = {}
+            for j, a in row.items():
+                for t, b in lower[j].items():
+                    composed[t] = composed.get(t, 0) + a * b
+            assert not any(composed.values())
+    assert boundary_square_is_zero(c)
+
+
+def test_windowed_results_bypass_the_full_profile_memo(monkeypatch):
+    import pinched_veronese.homology as homology
+    from pinched_veronese import witness_non_cm
+
+    memo = {}
+    monkeypatch.setattr(homology, "_profile_cache", memo)
+    config = PinchConfig(2, 5, Multidegree((2, 3)))
+    witness = witness_non_cm(config)
+    assert witness.dimension == 1
+    assert memo == {}  # the size-capped witness complex wrote nothing
+
+    # nor is a windowed result read from the memo: plant a wrong full profile
+    # under the skeleton's key, and the window still computes the right value
+    k = config.N - 3
+    skeleton = build_divisor_complex(witness.h, config, size_cap=k + 2)
+    memo[(skeleton.canonical_form(), FieldSpec(32003).p)] = HomologyProfile({k: 99})
+    assert reduced_homology(skeleton, window=(k, k))[k] == witness.dimension

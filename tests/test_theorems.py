@@ -234,6 +234,30 @@ def test_verify_three_vars_normality():
     assert {c.label for c in report.checks} == {"normality-probe"}
 
 
+def test_verify_d2_without_a_catalog_still_classifies():
+    # d = 2 leaves two algebraically independent generators: a polynomial ring
+    for m in ((2, 0), (1, 1), (0, 2)):
+        report = verify(cfg(2, 2, m))
+        labels = [c.label for c in report.checks]
+        assert "cm-classification" in labels and "series-identity" in labels, m
+        assert not [label for label in labels
+                    if label.startswith(("betti[", "zero", "nonzero[", "open[",
+                                         "linearity", "regularity"))], m
+        assert report.all_pass, m
+        assert report.table.totals() == [1]
+        assert report.classification.is_cm and report.classification.pdim == 0
+
+
+def test_verify_d2_cm_classification_can_fail(monkeypatch):
+    import pinched_veronese.theorems as theorems
+
+    monkeypatch.setattr(theorems, "_expected_cm", lambda config: False)
+    report = verify(cfg(2, 2, (1, 1)))
+    check = next(c for c in report.checks if c.label == "cm-classification")
+    assert check.passed is False
+    assert not report.all_pass
+
+
 def test_report_serialization():
     report = verify(cfg(2, 4, (4, 0)))
     obj = report.to_json_obj()
