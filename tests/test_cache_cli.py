@@ -78,12 +78,9 @@ def test_cache_recomputes_profiles_of_another_engine(tmp_path):
     cache.save()
     raw = json.loads(cache.path.read_text())
     assert raw["engine"] == ENGINE
-    for stale in ("older-engine", None):
-        if stale is None:
-            del raw["engine"]
-        else:
-            raw["engine"] = stale
-        cache.path.write_text(json.dumps(raw))
+    untagged = {key: value for key, value in raw.items() if key != "engine"}
+    for stale in ({**raw, "engine": "older-engine"}, untagged):
+        cache.path.write_text(json.dumps(stale))
         reloaded = HomologyCache(tmp_path, config, DEFAULT_FIELD)
         assert reloaded.get(h) is None
         assert len(reloaded) == 0
