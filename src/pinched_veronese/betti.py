@@ -106,8 +106,14 @@ def _count_lattice_points(n: int, degree: int) -> int:
 
 def estimate_cost(config: PinchConfig, s_max: int) -> int:
     """Pessimistic cost proxy: candidate complexes times subset count."""
-    n_h = sum(_count_lattice_points(config.n, s * config.d) for s in range(s_max + 1))
-    return n_h * (1 << (config.N - 1))
+    return sum(degree_cost(config, s) for s in range(s_max + 1))
+
+
+def degree_cost(config: PinchConfig, t: Optional[int] = None) -> int:
+    """Cost proxy of the complexes at coarse degree t (lattice points times
+    the 2^(N-1) generator subsets), or of one complex when t is None."""
+    complexes = 1 if t is None else _count_lattice_points(config.n, t * config.d)
+    return complexes * (1 << (config.N - 1))
 
 
 def _profile_worker(args) -> list[list[int]]:
@@ -215,7 +221,7 @@ def multigraded_betti(
     """Per-h contributions to the (i, t) table entry (only nonzero values kept)."""
     if i < 0 or t < 0:
         raise ValueError("homological and coarse degrees must be non-negative")
-    cost = _count_lattice_points(config.n, t * config.d) * (1 << (config.N - 1))
+    cost = degree_cost(config, t)
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
     out: dict[Multidegree, int] = {}

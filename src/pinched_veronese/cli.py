@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, graded_betti
+from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, degree_cost, graded_betti
 from .cache import SCHEMA_VERSION, HomologyCache
 from .complexes import alexander_dual, build_divisor_complex
 from .errors import ResourceLimitExceeded
@@ -298,6 +298,9 @@ def _cmd_canonical(args) -> CommandResult:
 def _cmd_dualcheck(args) -> CommandResult:
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
+    cost = degree_cost(config, None if args.element else args.coarse)
+    if cost > args.budget:
+        raise ResourceLimitExceeded(cost, args.budget)
     elements = ([_parse_vector(args.element)] if args.element
                 else enumerate_degree(config, args.coarse))
     failures = []
@@ -341,6 +344,26 @@ def _cmd_dualcheck(args) -> CommandResult:
 # -- parser ----------------------------------------------------------------
 
 
+# Options that several subcommands share, in the order --help lists them.
+# Each subcommand takes only the ones its code reads.
+SHARED_OPTIONS = {
+    "-n": dict(type=int, default=2, help="number of variables (default 2)"),
+    "-d": dict(type=int, default=None, help="Veronese degree"),
+    "--pinch": dict(help="pinch index (n=2) or explicit vector a,b,..."),
+    "--field": dict(default="32003", help="coefficient field: a prime, or q for the rationals"),
+    "--format": dict(choices=("text", "json", "csv"), default="text"),
+    "--cache-dir": dict(default=None, help=f"profile cache directory (default: ${CACHE_ENV_VAR})"),
+    "--jobs": dict(type=int, default=1, help="parallel homology jobs"),
+    "--budget": dict(type=int, default=DEFAULT_COMPLEX_BUDGET,
+                     help="resource budget (complexes x subsets)"),
+    "--imax": dict(type=int, default=None, help="largest homological degree"),
+    "--smax": dict(type=int, default=None, help="largest coarse degree"),
+}
+BASE_OPTIONS = ("-n", "-d", "--pinch", "--format")
+COMPUTE_OPTIONS = (*BASE_OPTIONS, "--field", "--cache-dir", "--jobs", "--budget")
+SCAN_OPTIONS = (*COMPUTE_OPTIONS, "--imax", "--smax")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pinched-veronese",
@@ -349,65 +372,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-n", type=int, default=2, help="number of variables (default 2)")
-    common.add_argument("-d", type=int, default=None, help="Veronese degree")
-    common.add_argument("--pinch", help="pinch index (n=2) or explicit vector a,b,...")
-    common.add_argument("--field", default="32003",
-                        help="coefficient field: a prime, or q for the rationals")
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--cache-dir", default=None,
-                        help=f"profile cache directory (default: ${CACHE_ENV_VAR})")
-    common.add_argument("--jobs", type=int, default=1, help="parallel homology jobs")
-    common.add_argument("--budget", type=int, default=DEFAULT_COMPLEX_BUDGET,
-                        help="resource budget (complexes x subsets)")
+    def command(name, func, options, summary):
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in SHARED_OPTIONS.items():
+            if flag in options:
+                p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    scan = argparse.ArgumentParser(add_help=False)
-    scan.add_argument("--imax", type=int, default=None, help="largest homological degree")
-    scan.add_argument("--smax", type=int, default=None, help="largest coarse degree")
+    command("gens", _cmd_gens, BASE_OPTIONS, "list the semigroup generators")
 
-    p = sub.add_parser("gens", parents=[common], help="list the semigroup generators")
-    p.set_defaults(func=_cmd_gens)
-
-    p = sub.add_parser("member", parents=[common], help="semigroup membership test")
+    p = command("member", _cmd_member, BASE_OPTIONS, "semigroup membership test")
     p.add_argument("--element", required=True, help="multidegree a,b,...")
     p.add_argument("--cross-check", action="store_true",
                    help="also run the brute-force oracle")
     p.add_argument("--degree-cap", type=int, default=None,
                    help="brute-force degree bound (default 8d)")
-    p.set_defaults(func=_cmd_member)
 
-    p = sub.add_parser("hilbert", parents=[common], help="closed Hilbert series")
+    p = command("hilbert", _cmd_hilbert, BASE_OPTIONS, "closed Hilbert series")
     p.add_argument("--expand", type=int, default=None,
                    help="also expand the series through this degree")
-    p.set_defaults(func=_cmd_hilbert)
 
-    p = sub.add_parser("hpoly", parents=[common], help="h-polynomial (n=2)")
-    p.set_defaults(func=_cmd_hpoly)
+    command("hpoly", _cmd_hpoly, BASE_OPTIONS, "h-polynomial (n=2)")
+    command("betti", _cmd_betti, SCAN_OPTIONS, "graded Betti table")
+    command("classify", _cmd_classify, SCAN_OPTIONS,
+            "pdim/depth/CM/Gorenstein/linearity report")
 
-    p = sub.add_parser("betti", parents=[common, scan], help="graded Betti table")
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("classify", parents=[common, scan],
-                       help="pdim/depth/CM/Gorenstein/linearity report")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("verify", parents=[common, scan],
-                       help="verify cataloged claims against the computed table")
+    p = command("verify", _cmd_verify, COMPUTE_OPTIONS,
+                "verify cataloged claims against the computed table")
     p.add_argument("--sweep", default=None, help='e.g. "n=2,d=3..7"')
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("canonical", parents=[common],
-                       help="canonical partner index and series duality check")
+    p = command("canonical", _cmd_canonical, ("-n", "-d", "--format"),
+                "canonical partner index and series duality check")
     p.add_argument("-k", type=int, required=True, help="slice index, 0 <= k < d")
-    p.set_defaults(func=_cmd_canonical)
 
-    p = sub.add_parser("dualcheck", parents=[common],
-                       help="boundary/euler/duality property checks on divisor complexes")
+    p = command("dualcheck", _cmd_dualcheck, (*BASE_OPTIONS, "--field", "--budget"),
+                "boundary/euler/duality property checks on divisor complexes")
     p.add_argument("--coarse", type=int, default=1,
                    help="check every complex at this coarse degree")
     p.add_argument("--element", default=None, help="check one multidegree a,b,...")
-    p.set_defaults(func=_cmd_dualcheck)
 
     return parser
 

@@ -124,19 +124,6 @@ class SimplicialComplex:
         apexes = _vertices(reduce(and_, self.levels[-1]))
         return any(2 * sum(1 for f in faces if f >> v & 1) == len(faces) for v in apexes)
 
-    def canonical_form(self) -> tuple:
-        """Face masks with the unused vertex bits squeezed out; the memo key.
-
-        Invariant under order-preserving relabelings of the vertices.
-        """
-        sup = self._support_mask()
-        key = self.levels
-        for v in reversed(range(sup.bit_length())):
-            if not sup >> v & 1:  # drop bit v, moving the bits above it down
-                low = (1 << v) - 1
-                key = tuple(tuple(f >> 1 & ~low | f & low for f in level) for level in key)
-        return key
-
     def validate(self) -> None:
         """Check downward closure and the empty-face convention."""
         if self.is_void:

@@ -108,9 +108,6 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     return True
 
 
-_profile_cache: dict[tuple, HomologyProfile] = {}
-
-
 def reduced_homology(
     c: SimplicialComplex,
     field: FieldSpec = DEFAULT_FIELD,
@@ -119,24 +116,14 @@ def reduced_homology(
     """Reduced homology dimensions of c over the given field.
 
     dim H~_k = (#k-faces) - rank(boundary_k) - rank(boundary_{k+1}); cones are
-    recognized and short-circuited to the trivial profile.  Full profiles are
-    memoized on the canonical form, which is invariant under order-preserving
-    vertex relabeling.  `window = (lo, hi)` computes only the degrees
-    lo..hi (the rest read 0) and needs only the faces of dimension lo-1..hi+1,
-    so it is safe on a skeleton built with a size cap of at least hi+2; such
-    results bypass the memo.
+    recognized and short-circuited to the trivial profile.  `window = (lo, hi)`
+    computes only the degrees lo..hi (the rest read 0) and needs only the
+    faces of dimension lo-1..hi+1, so it is safe on a skeleton built with a
+    size cap of at least hi+2.
     """
     if c.is_void:
         return HomologyProfile()
-    if window is not None:
-        return _compute_profile(c, field, window)
-    key = (c.canonical_form(), field.p)
-    hit = _profile_cache.get(key)
-    if hit is not None:
-        return hit
-    profile = _compute_profile(c, field)
-    _profile_cache[key] = profile
-    return profile
+    return _compute_profile(c, field, window)
 
 
 def _compute_profile(

@@ -6,10 +6,12 @@ from pinched_veronese import (
     PinchConfig,
     ResourceLimitExceeded,
     UncertifiedTableError,
+    build_divisor_complex,
     classify,
     graded_betti,
     k_polynomial_check,
     multigraded_betti,
+    reduced_homology,
     witness_non_cm,
 )
 
@@ -226,6 +228,12 @@ def test_witness_interior_two_vars():
     assert w.h == (21, 21)
     assert w.index == 5  # N - 2
     assert w.dimension == 1
+    # the witness reads one degree off a size-capped skeleton; the full complex agrees
+    config = cfg(2, 5, (2, 3))
+    w = witness_non_cm(config)
+    assert w.dimension == 1
+    k = config.N - 3
+    assert reduced_homology(build_divisor_complex(w.h, config))[k] == w.dimension
 
 
 def test_witness_max_d_minus_1_three_vars():

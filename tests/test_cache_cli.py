@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+
+import pytest
 
 from pinched_veronese import (
     DEFAULT_FIELD,
@@ -103,6 +106,57 @@ def test_cache_files_separate_by_field(tmp_path):
     a.put(h, HomologyProfile({0: 1}))
     a.save()
     assert HomologyCache(tmp_path, config, GF2).get(h) is None
+
+
+def test_cache_writers_sharing_a_file_keep_each_others_entries(tmp_path):
+    config = cfg(2, 5, (2, 3))
+    a = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    b = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    h_a, h_b, shared = Multidegree((4, 6)), Multidegree((6, 4)), Multidegree((5, 5))
+    a.put(h_a, HomologyProfile({0: 1}))
+    a.put(shared, HomologyProfile({0: 2}))
+    a.save()
+    b.put(h_b, HomologyProfile({1: 1}))
+    b.put(shared, HomologyProfile({0: 3}))
+    b.save()
+    merged = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    assert len(merged) == 3
+    assert merged.get(h_a) == HomologyProfile({0: 1})
+    assert merged.get(h_b) == HomologyProfile({1: 1})
+    assert merged.get(shared) == HomologyProfile({0: 3})  # the later writer's entry wins
+    # a file of another engine is not merged in
+    raw = json.loads(merged.path.read_text())
+    merged.path.write_text(json.dumps({**raw, "engine": "older-engine"}))
+    c = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    c.put(h_b, HomologyProfile({1: 1}))
+    c.save()
+    assert len(HomologyCache(tmp_path, config, DEFAULT_FIELD)) == 1
+
+
+def _save_at_once(directory, writer, barrier):
+    cache = HomologyCache(directory, cfg(2, 5, (2, 3)), DEFAULT_FIELD)
+    for j in range(50):
+        cache.put(Multidegree((writer, j)), HomologyProfile({0: 1}))
+    barrier.wait()
+    cache.save()
+
+
+def test_cache_saves_at_the_same_instant_lose_no_entries(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    writers = 4  # more than the cores of a small machine
+    for round_ in range(2):
+        directory = tmp_path / str(round_)
+        barrier = ctx.Barrier(writers, timeout=60)
+        procs = [ctx.Process(target=_save_at_once, args=(directory, w, barrier))
+                 for w in range(writers)]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(120)
+        assert not any(p.is_alive() for p in procs)
+        assert all(p.exitcode == 0 for p in procs)
+        cache = HomologyCache(directory, cfg(2, 5, (2, 3)), DEFAULT_FIELD)
+        assert len(cache) == writers * 50
 
 
 def test_cache_feeds_graded_betti(tmp_path):
@@ -248,6 +302,39 @@ def test_cli_dualcheck_serializes_faces(capsys):
     assert payload["complexes_checked"] == 1
     assert [] in payload["faces"]  # the empty face
     assert all(f == sorted(f) for f in payload["faces"])
+
+
+GOLDEN_DUALCHECKS = [
+    ["dualcheck", "-d", "5", "--pinch", "2", "--coarse", "3"],
+    ["dualcheck", "-d", "3", "--pinch", "3,0", "--element", "4,2", "--field", "q"],
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_DUALCHECKS, ids=("coarse", "element"))
+def test_cli_dualcheck_refuses_over_budget(capsys, argv):
+    assert main([*argv, "--budget", "1"]) == 3
+    assert capsys.readouterr().err.startswith("refused: ")
+
+
+@pytest.mark.parametrize("argv", GOLDEN_DUALCHECKS, ids=("coarse", "element"))
+def test_cli_dualcheck_default_budget_passes_golden_cases(capsys, argv):
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gens", "-d", "3", "--pinch", "0", "--jobs", "2"],
+    ["member", "-d", "3", "--pinch", "0", "--element", "3,3", "--jobs", "2"],
+    ["hilbert", "-d", "3", "--pinch", "0", "--jobs", "2"],
+    ["hpoly", "-d", "3", "--pinch", "0", "--jobs", "2"],
+    ["canonical", "-d", "5", "-k", "1", "--jobs", "2"],
+    ["verify", "-d", "4", "--pinch", "1", "--smax", "4"],
+], ids=lambda argv: argv[0])
+def test_cli_rejects_flags_the_subcommand_does_not_read(capsys, argv):
+    assert main(argv[:-2]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 def test_cli_usage_error(capsys):

@@ -141,12 +141,6 @@ def test_size_cap_gives_the_skeleton():
             assert capped.faces == {f for f in full.faces if len(f) <= cap}, (h, cap)
 
 
-def test_canonical_form_is_relabel_invariant():
-    a = SimplicialComplex((0, 1, 2), [F(), F(0), F(1), F(2), F(0, 1)])
-    b = SimplicialComplex((4, 7, 9), [F(), F(4), F(7), F(9), F(4, 7)])
-    assert a.canonical_form() == b.canonical_form()
-
-
 # -- alexander dual ----------------------------------------------------------
 
 

@@ -288,21 +288,3 @@ def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
             assert not any(composed.values())
     assert boundary_square_is_zero(c)
 
-
-def test_windowed_results_bypass_the_full_profile_memo(monkeypatch):
-    import pinched_veronese.homology as homology
-    from pinched_veronese import witness_non_cm
-
-    memo = {}
-    monkeypatch.setattr(homology, "_profile_cache", memo)
-    config = PinchConfig(2, 5, Multidegree((2, 3)))
-    witness = witness_non_cm(config)
-    assert witness.dimension == 1
-    assert memo == {}  # the size-capped witness complex wrote nothing
-
-    # nor is a windowed result read from the memo: plant a wrong full profile
-    # under the skeleton's key, and the window still computes the right value
-    k = config.N - 3
-    skeleton = build_divisor_complex(witness.h, config, size_cap=k + 2)
-    memo[(skeleton.canonical_form(), FieldSpec(32003).p)] = HomologyProfile({k: 99})
-    assert reduced_homology(skeleton, window=(k, k))[k] == witness.dimension
