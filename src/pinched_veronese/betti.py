@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -34,6 +35,8 @@ class BettiTable:
 
     `entries` holds every cell (i, s) with 0 <= i <= i_max, 0 <= s <= s_max,
     so shape claims (zero regions) are decidable from the table alone.
+    `certified_cones` counts the elements h whose divisor complex the cone
+    certificate settled without building it; it is not part of the JSON form.
     """
 
     config: PinchConfig
@@ -41,6 +44,7 @@ class BettiTable:
     i_max: int
     s_max: int
     entries: dict[tuple[int, int], int]
+    certified_cones: int = 0
 
     def entry(self, i: int, s: int) -> int:
         return self.entries.get((i, s), 0)
@@ -122,6 +126,59 @@ def _profile_worker(args) -> list[list[int]]:
     return profile.to_pairs()
 
 
+def _cone_apexes(config: PinchConfig) -> list[tuple[int, list[int]]]:
+    """The pure powers d*e_q that the cone certificate tries, with their T_q.
+
+    d*e_q is tried when m_q < d-1: it is then a generator, and no hole can
+    use up its q-coordinate (see `_apex_bounds`).  T_q[k] is the sum of the
+    k largest q-coordinates among the other generators, so it bounds the
+    q-coordinate of sum(F) for every set F of k generators avoiding d*e_q.
+    """
+    d = config.d
+    gens = generate_generators(config).gens
+    return [(q, [0, *accumulate(sorted((g[q] for g in gens if g[q] != d), reverse=True))])
+            for q in range(config.n) if config.m[q] < d - 1]
+
+
+def _apex_bounds(
+    config: PinchConfig, apexes: list[tuple[int, list[int]]], s: int
+) -> list[tuple[int, int]]:
+    """Pairs (q, b): d*e_q is an apex of the divisor complex of every h of
+    coarse degree s with h_q >= b, so that complex is a cone.
+
+    Let e = d*e_q and let F be a face avoiding e, with f = |F| vertices (so
+    f <= min(s, N-2)).  Its remainder r = h - sum(F) has total t*d with
+    t = s - f, and r_q >= h_q - T_q[f].  F + e is a face when r - e is in H,
+    and that holds once r_q >= need(t):
+      t = 0: 1, which r = 0 cannot meet, so no such F exists;
+      t = 1: d, so r - e = 0;
+      t >= 2: d makes r - e non-negative, and r - e must miss the holes:
+        max m < d-1: the one hole m has total d, so d + m_q + 1 at t = 2;
+        max m = d (at p): r - e needs mass t-1 off p and has at least
+          r_q - d there, so d + t - 1;
+        max m = d-1 (d-1 at p, 1 at p'): a hole is 1 at p' and 0 off p and
+          p', so d + 2 for q = p' and d + 1 for the other q (a q with
+          m_q >= d-1 is never tried).
+    Every face avoiding e then extends by e, so b = max over f of
+    T_q[f] + need(s - f).  A cone has zero reduced homology, so h adds
+    nothing to the Betti numbers (Bruns-Herzog, JPAA 1997, express them
+    through these divisor complexes).
+    """
+    d, m, cls = config.d, config.m, config.pinch_class
+
+    def need(q: int, t: int) -> int:
+        if t <= 1:
+            return d if t else 1
+        if cls is PinchClass.INTERIOR:
+            return d + m[q] + 1 if t == 2 else d
+        if cls is PinchClass.MAX_D:
+            return d + t - 1
+        return d + 2 if m[q] == 1 else d + 1
+
+    return [(q, max(prefix[f] + need(q, s - f) for f in range(min(s, len(prefix) - 1) + 1)))
+            for q, prefix in apexes]
+
+
 def _profiles_for_degrees(
     config: PinchConfig,
     field: FieldSpec,
@@ -131,15 +188,23 @@ def _profiles_for_degrees(
 ):
     """Yield (s, h, profile) deterministically (s ascending, h descending lex).
 
-    jobs is capped at the CPU count.
+    The profile is None for an h whose divisor complex the cone certificate
+    of `_apex_bounds` proves a cone: its reduced homology is zero.  Such an
+    h is never built, cone-tested, looked up in or written to the cache, or
+    sent to the worker pool.  The rest are read from the cache or computed,
+    with jobs capped at the CPU count.
     """
-    work: list[tuple[int, Multidegree]] = []
+    apexes = _cone_apexes(config)
+    work: list[tuple[int, Multidegree, bool]] = []
     for s in degrees:
+        bounds = _apex_bounds(config, apexes, s)
         for h in enumerate_degree(config, s):
-            work.append((s, h))
+            work.append((s, h, any(h[q] >= b for q, b in bounds)))
     profiles: dict[Multidegree, HomologyProfile] = {}
     missing: list[Multidegree] = []
-    for _, h in work:
+    for _, h, certified in work:
+        if certified:
+            continue
         hit = cache.get(h) if cache is not None else None
         if hit is not None:
             profiles[h] = hit
@@ -164,8 +229,8 @@ def _profiles_for_degrees(
         for h in missing:
             cache.put(h, profiles[h])
         cache.save()
-    for s, h in work:
-        yield s, h, profiles[h]
+    for s, h, certified in work:
+        yield s, h, None if certified else profiles[h]
 
 
 def graded_betti(
@@ -199,14 +264,19 @@ def graded_betti(
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
     entries = {(i, s): 0 for i in range(i_max + 1) for s in range(s_max + 1)}
+    certified = 0
     for s, _h, profile in _profiles_for_degrees(
         config, field, list(range(s_max + 1)), cache=cache, jobs=jobs
     ):
+        if profile is None:
+            certified += 1
+            continue
         for k, v in profile.items():
             i = k + 1
             if 0 <= i <= i_max:
                 entries[(i, s)] += v
-    return BettiTable(config=config, field=field, i_max=i_max, s_max=s_max, entries=entries)
+    return BettiTable(config=config, field=field, i_max=i_max, s_max=s_max, entries=entries,
+                      certified_cones=certified)
 
 
 def multigraded_betti(
@@ -226,7 +296,7 @@ def multigraded_betti(
         raise ResourceLimitExceeded(cost, budget)
     out: dict[Multidegree, int] = {}
     for _s, h, profile in _profiles_for_degrees(config, field, [t], cache=cache):
-        v = profile[i - 1]
+        v = profile[i - 1] if profile is not None else 0
         if v:
             out[h] = v
     return out

@@ -30,7 +30,9 @@ except ImportError:  # not POSIX: saves still merge, but two at once can race
 
 SCHEMA_VERSION = "pinched-veronese/1"
 # names the code that computed the profiles; change it whenever that code
-# changes in a way that could change a stored result
+# changes in a way that could change a stored result.  Skipping certified
+# cones changed none: a skipped h is neither read nor written, and an older
+# file's entry for it is the same empty profile, never consulted
 ENGINE = "bitmask-sparse/1"
 
 

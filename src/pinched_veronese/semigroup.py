@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -145,7 +146,7 @@ class GeneratorSet:
         return self.gens.index(g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def generate_generators(config: PinchConfig) -> GeneratorSet:
     """The generating set A_{n,d} minus the pinch, descending lex."""
     gens = tuple(
@@ -157,7 +158,7 @@ def generate_generators(config: PinchConfig) -> GeneratorSet:
     return GeneratorSet(gens=gens, N=config.N)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _hole_test(config: PinchConfig) -> Callable[[tuple[int, ...]], bool]:
     """Predicate for the vectors of N^n with total a positive multiple of d not in H.
 
@@ -198,19 +199,6 @@ def is_member_closed(h, config: PinchConfig) -> bool:
     return not _hole_test(config)(h)
 
 
-@lru_cache(maxsize=None)
-def _bruteforce_member(config: PinchConfig, h: Multidegree) -> bool:
-    # DP over representations of h as a sum of exactly |h|/d generators;
-    # recursion depth is bounded by t, results memoized globally per (config, h).
-    if h.total == 0:
-        return True
-    for g in generate_generators(config):
-        rest = h.minus(g)
-        if rest is not None and _bruteforce_member(config, rest):
-            return True
-    return False
-
-
 def is_member_bruteforce(h, config: PinchConfig, degree_cap: int | None = None) -> bool:
     """Membership by exhaustive dynamic programming; independent of the closed form.
 
@@ -224,7 +212,21 @@ def is_member_bruteforce(h, config: PinchConfig, degree_cap: int | None = None) 
         raise ValueError(f"|h| = {h.total} exceeds the configured bound {cap}")
     if h.total % config.d != 0:
         return False
-    return _bruteforce_member(config, h)
+    gens = [tuple(g) for g in generate_generators(config)]
+
+    # DP over representations of h as a sum of exactly |h|/d generators; the
+    # recursion depth is bounded by that count, and the memo lives for this call
+    @lru_cache(maxsize=None)
+    def member(v: tuple[int, ...]) -> bool:
+        if not any(v):
+            return True
+        for g in gens:
+            rest = tuple(map(sub, v, g))
+            if min(rest) >= 0 and member(rest):
+                return True
+        return False
+
+    return member(tuple(h))
 
 
 def enumerate_degree(config: PinchConfig, t: int) -> list[Multidegree]:

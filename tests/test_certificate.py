@@ -1,0 +1,148 @@
+"""The cone certificate that lets a Betti scan skip divisor complexes.
+
+`betti._apex_bounds` names, per coarse degree, the elements h whose divisor
+complex has a pure power d*e_q as an apex.  The scan never builds those
+complexes; these tests build them anyway and check that each is a cone, pin
+how many the certificate settles, and check that the profile cache neither
+needs nor stores their profiles.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from pinched_veronese import (
+    DEFAULT_FIELD,
+    HomologyCache,
+    Multidegree,
+    PinchConfig,
+    build_divisor_complex,
+    enumerate_degree,
+    graded_betti,
+)
+from pinched_veronese.betti import _apex_bounds, _cone_apexes, _profiles_for_degrees
+from pinched_veronese.cache import ENGINE
+from test_cli_golden import DATA as GOLDEN, run
+
+# profile files that `betti -d 5 --pinch 2` and `verify -d 5 --pinch 2 --field 2`
+# wrote before the scan skipped certified cones: they hold every h, cones too
+OLD_CACHE = Path(__file__).parent / "data" / "cache_before_certificate"
+
+
+def cfg(n, d, m):
+    return PinchConfig(n, d, Multidegree(m))
+
+
+def certified(config, s):
+    bounds = _apex_bounds(config, _cone_apexes(config), s)
+    return [h for h in enumerate_degree(config, s) if any(h[q] >= b for q, b in bounds)]
+
+
+def certified_in_scan(config, s_max):
+    return [h for s in range(s_max + 1) for h in certified(config, s)]
+
+
+def assert_certified_are_cones(config, s_max):
+    hs = certified_in_scan(config, s_max)
+    bad = [h for h in hs if not build_divisor_complex(h, config).is_cone()]
+    assert not bad, f"certified non-cones for {config}: {bad[:5]}"
+    return len(hs)
+
+
+# -- soundness ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_certified_elements_are_cones_two_vars(d):
+    for i in range(d + 1):
+        config = PinchConfig.from_pinch_index(d, i)
+        count = assert_certified_are_cones(config, config.N + 1)
+        # the rule is not vacuous: only the d = 2 max=d-1 class has no apex to try
+        assert count > 0 or (d, i) == (2, 1)
+
+
+@pytest.mark.parametrize("n, d, m, s_max", [
+    (3, 3, (3, 0, 0), 11),
+    (3, 3, (2, 1, 0), 11),
+    (3, 3, (1, 1, 1), 11),
+    (3, 3, (0, 2, 1), 11),  # a permuted max=d-1 pinch
+    (3, 2, (1, 1, 0), 6),   # d = 2 max=d-1: only the apex off both pinch positions
+    (3, 2, (0, 0, 2), 6),
+])
+def test_certified_elements_are_cones_three_vars(n, d, m, s_max):
+    assert assert_certified_are_cones(cfg(n, d, m), s_max) > 0
+
+
+@pytest.mark.parametrize("i", [4, 5])
+def test_certified_count_at_d9(i):
+    config = PinchConfig.from_pinch_index(9, i)
+    table = graded_betti(config)
+    cones = sum(build_divisor_complex(h, config).is_cone()
+                for s in range(table.s_max + 1) for h in enumerate_degree(config, s))
+    assert cones == 449
+    assert table.certified_cones == len(certified_in_scan(config, table.s_max)) == 439
+    assert 378 <= table.certified_cones <= cones
+
+
+def test_certified_count_stays_out_of_json():
+    table = graded_betti(PinchConfig.from_pinch_index(5, 2))
+    assert table.certified_cones > 0
+    assert "certified_cones" not in table.to_json_obj()
+
+
+# -- the guard column ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(4, 10))
+def test_guard_column_is_proved_zero_on_interior_configs(d):
+    # every h of the default guard degree s_max = N+1 is a certified cone, so
+    # the all-zero guard column that `classify` demands is a theorem there
+    for i in range(2, d - 1):
+        config = PinchConfig.from_pinch_index(d, i)
+        s = config.N + 1
+        scanned = list(_profiles_for_degrees(config, DEFAULT_FIELD, [s]))
+        assert len(scanned) == len(enumerate_degree(config, s)) > 0
+        assert all(profile is None for _s, _h, profile in scanned)
+
+
+# -- the profile cache --------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", [
+    ["betti", "-d", "5", "--pinch", "2"],
+    ["verify", "-d", "5", "--pinch", "2", "--field", "2"],
+])
+def test_cache_written_before_the_certificate_gives_identical_output(tmp_path, case):
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(OLD_CACHE, cache_dir)
+    before = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+    for name, raw in before.items():
+        payload = json.loads(raw)
+        assert payload["engine"] == ENGINE
+        # the old files also hold the certified elements (as empty profiles)
+        config = cfg(payload["n"], payload["d"], payload["m_normalized"])
+        assert all(",".join(map(str, h)) in payload["profiles"]
+                   for h in certified_in_scan(config, config.N + 1))
+    golden = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}
+    for fmt in ("text", "json", "csv"):
+        argv = [*case, "--format", fmt]
+        got = run([*argv, "--cache-dir", str(cache_dir)])
+        assert {**got, "argv": argv} == golden[tuple(argv)]
+    # every profile the scan needs is a hit, so nothing is rewritten
+    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
+
+
+def test_cold_scan_caches_no_certified_element(tmp_path):
+    config = PinchConfig.from_pinch_index(6, 2)
+    table = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    reloaded = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    skipped = set(certified_in_scan(config, table.s_max))
+    assert len(skipped) == table.certified_cones > 0
+    for s in range(table.s_max + 1):
+        for h in enumerate_degree(config, s):
+            assert (reloaded.get(h) is None) == (h in skipped)
+    assert len(reloaded) + len(skipped) == sum(
+        len(enumerate_degree(config, s)) for s in range(table.s_max + 1))
+    assert graded_betti(config, cache=reloaded).same_entries(table)

@@ -151,6 +151,19 @@ def test_member_bruteforce_examples():
         is_member_bruteforce((30, 0), cfg(2, 3, (3, 0)), degree_cap=24)
 
 
+def test_bruteforce_oracle_keeps_no_state_between_calls(monkeypatch):
+    import pinched_veronese.semigroup as semigroup
+
+    config = cfg(2, 3, (1, 2))
+    assert is_member_bruteforce((2, 4), config)  # (2,1) + (0,3)
+    # the same question again must be searched again: with (3,0) as the only
+    # generator, (2,4) has no representation, whatever the first call found
+    only = semigroup.GeneratorSet(gens=(Multidegree((3, 0)),), N=2)
+    monkeypatch.setattr(semigroup, "generate_generators", lambda _config: only)
+    assert not is_member_bruteforce((2, 4), config)
+    assert is_member_bruteforce((6, 0), config)
+
+
 def test_membership_oracles_agree_small():
     # subset of the full acceptance sweep: every h with |h| <= 8d
     for config in (cfg(2, 3, (3, 0)), cfg(2, 4, (3, 1)), cfg(2, 4, (2, 2)),
