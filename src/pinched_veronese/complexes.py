@@ -278,15 +278,27 @@ def alexander_dual(
     duality formula expects.  Dualizing twice over the SAME V returns c;
     since the dual's own support can be smaller than V, pass the dual's
     ground set explicitly to invert (the dual stores it).
+
+    The levels are built on masks: the j-vertex subsets G of V come from
+    combinations of V's vertex bits in lexicographic order, and G is a face
+    of the dual when V - G is not a face of c.  The dual is downward closed,
+    so the first empty level ends it.
     """
     if c.is_void:
         raise ValueError("the void complex has no Alexander dual")
     sup = tuple(ground) if ground is not None else c.support()
-    if c._support_mask() & ~_mask(sup):
+    full = _mask(sup)
+    if c._support_mask() & ~full:
         raise ValueError("ground set must contain the vertex support")
     masks = set(chain.from_iterable(c.levels))
-    subsets = (_mask(f) for k in range(len(sup) + 1) for f in combinations(sup, k))
-    return SimplicialComplex(sup, [_vertices(_mask(sup) ^ m) for m in subsets if m not in masks])
+    bits = [1 << v for v in sorted(set(sup))]
+    levels = []
+    for j in range(len(bits) + 1):
+        level = tuple(g for g in map(sum, combinations(bits, j)) if full ^ g not in masks)
+        if not level:
+            break
+        levels.append(level)
+    return SimplicialComplex(sup, levels=tuple(levels))
 
 
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:

@@ -271,3 +271,23 @@ def test_link_is_subcomplex_and_contains_star(c, data):
     for f in c.faces:
         if v in f:
             assert f in lk.faces
+
+
+def dual_by_complements(c, ground):
+    """Reference dual: complements within `ground` of the non-faces of c, as frozensets."""
+    faces = c.faces
+    non_faces = (F(*f) for k in range(len(ground) + 1) for f in itertools.combinations(ground, k))
+    return SimplicialComplex(ground, [F(*ground) - f for f in non_faces if f not in faces])
+
+
+@given(random_complexes(), st.sets(st.integers(0, 8), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_dual_levels_match_complements_of_non_faces(c, extra):
+    # over the support and over a larger ground set; levels compared in order
+    for ground in (c.support(), tuple(sorted(set(c.support()) | extra))):
+        d = alexander_dual(c, ground)
+        ref = dual_by_complements(c, ground)
+        assert (d.ground, d.levels) == (ref.ground, ref.levels)
+        if not d.is_void:
+            dd = alexander_dual(d, d.ground)
+            assert dd.levels == dual_by_complements(d, d.ground).levels

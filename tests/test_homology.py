@@ -173,6 +173,50 @@ def test_windowed_homology_matches_full_profile():
                     [(k, prof[k])] if prof[k] else []), (h, k)
 
 
+# -- clearing against per-level ranks on divisor complexes --------------------
+
+
+def per_level_profile(c, field):
+    """Reference profile: each boundary map's rank on its own, nothing cleared."""
+    ranks = {k: matrix_rank(*boundary_matrix(c, k), field) for k in range(0, c.dim + 1)}
+    return HomologyProfile({k: len(c.levels[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                            for k in range(-1, c.dim + 1)})
+
+
+def scan_complexes(config, s_max):
+    """The non-cone divisor complexes a Betti scan of config up to s_max reduces."""
+    for s in range(s_max + 1):
+        for h in enumerate_degree(config, s):
+            c = build_divisor_complex(h, config)
+            if not c.is_void and not c.is_cone():
+                yield h, c
+
+
+def clearing_cases():
+    for d in range(2, 7):
+        for i in range(d + 1):
+            config = PinchConfig.from_pinch_index(d, i)
+            yield from scan_complexes(config, config.N + 1)
+    # the three n=3 pinch classes; the scan goes to s = 11, but its s >= 7
+    # complexes are the largest and would triple the run time
+    for m in ((3, 0, 0), (2, 1, 0), (1, 1, 1)):
+        yield from scan_complexes(PinchConfig(3, 3, Multidegree(m)), 6)
+
+
+def test_cleared_reduction_matches_per_level_ranks():
+    """Clearing keeps every rank: full profiles and single-degree windows."""
+    checked = 0
+    for h, c in clearing_cases():
+        checked += 1
+        for field in (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS):
+            expected = per_level_profile(c, field)
+            assert reduced_homology(c, field) == expected, (h, field)
+            for k in range(-1, c.dim + 1):
+                assert reduced_homology(c, field, window=(k, k)).items() == (
+                    [(k, expected[k])] if expected[k] else []), (h, field, k)
+    assert checked == 845
+
+
 def test_boundary_square_zero_on_divisor_complexes():
     config = PinchConfig(2, 6, Multidegree((2, 4)))
     for t in range(1, 5):
