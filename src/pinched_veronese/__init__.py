@@ -48,11 +48,12 @@ from .semigroup import (
 )
 from .series import (
     Polynomial,
-    RationalFunction,
+    Series,
     canonical_partner,
     canonical_series_check,
     h_polynomial,
     hilbert_closed,
+    hilbert_function,
     k_polynomial_check,
     veronese_module_series,
 )
@@ -87,9 +88,9 @@ __all__ = [
     "PinchConfig",
     "Polynomial",
     "RATIONALS",
-    "RationalFunction",
     "ResourceLimitExceeded",
     "SCHEMA_VERSION",
+    "Series",
     "SimplicialComplex",
     "UncertifiedTableError",
     "VerificationReport",
@@ -112,6 +113,7 @@ __all__ = [
     "graded_betti",
     "h_polynomial",
     "hilbert_closed",
+    "hilbert_function",
     "is_member_bruteforce",
     "is_member_closed",
     "k_polynomial_check",

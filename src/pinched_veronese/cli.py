@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Callable
 
 from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, degree_cost, graded_betti
@@ -40,6 +39,8 @@ from .series import (
     canonical_series_check,
     h_polynomial,
     hilbert_closed,
+    hilbert_function,
+    one_minus_w,
 )
 from .theorems import expected_table, has_catalog, verify
 
@@ -73,13 +74,10 @@ def _cache_for(args, config, field):
     return HomologyCache(directory, config, field)
 
 
-def _int_coeffs(poly) -> list[int]:
-    out = []
-    for c in poly.coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ArithmeticError(f"expected integer coefficients, found {f}")
-        out.append(int(f))
+def _in_z(coeffs, d: int) -> list[int]:
+    """Coefficients of p(z^d) from those of p(w)."""
+    out = [0] * (d * (len(coeffs) - 1) + 1)
+    out[::d] = coeffs
     return out
 
 
@@ -139,12 +137,13 @@ def _cmd_member(args) -> CommandResult:
 def _cmd_hilbert(args) -> CommandResult:
     config = _config_from_args(args)
     series = hilbert_closed(config)
-    num, den = _int_coeffs(series.num), _int_coeffs(series.den)
+    num, den = _in_z(series.h, config.d), _in_z(one_minus_w(series.e), config.d)
     payload = {**_config_fields(config), "numerator": num, "denominator": den}
     rows = [["part", "coefficients"],
             ["numerator", " ".join(map(str, num))], ["denominator", " ".join(map(str, den))]]
     if args.expand is not None:
-        payload["expansion"] = [int(c) for c in series.series(args.expand)]
+        payload["expansion"] = [0 if k % config.d else hilbert_function(config, k // config.d)
+                                for k in range(args.expand + 1)]
         rows.append(["expansion", " ".join(map(str, payload["expansion"]))])
 
     def text():
@@ -160,7 +159,7 @@ def _cmd_hilbert(args) -> CommandResult:
 
 def _cmd_hpoly(args) -> CommandResult:
     config = _config_from_args(args)
-    coeffs = _int_coeffs(h_polynomial(config))
+    coeffs = list(h_polynomial(config))
     return (0, {**_config_fields(config), "coarse_coefficients": coeffs},
             lambda: [f"h-polynomial in w = z^{config.d}: {coeffs}"],
             [["s", "coefficient"], *enumerate(coeffs)])
@@ -323,8 +322,10 @@ def _cmd_dualcheck(args) -> CommandResult:
             if any(dual_profile[i - 2] != profile[nv - i - 1] for i in span):
                 failures.append((h, "alexander duality"))
             # the dual is void exactly when c is the full simplex on its
-            # support; the involution only applies to non-void complexes
-            if not dual.is_void and alexander_dual(dual, dual.ground).faces != c.faces:
+            # support; the involution only applies to non-void complexes.
+            # Levels are canonical (bit v is vertex v, lexicographic order),
+            # so equal levels are equal face sets.
+            if not dual.is_void and alexander_dual(dual, dual.ground).levels != c.levels:
                 failures.append((h, "dual involution"))
     payload = {**_config_fields(config), "field": field.label,
                "complexes_checked": checked,

@@ -7,7 +7,7 @@ complex of 0 yields the Betti number 1 in homological degree 0.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .complexes import SimplicialComplex
 from .linalg import DEFAULT_FIELD, FieldSpec, pivot_columns
@@ -67,17 +67,22 @@ class HomologyProfile:
         return f"HomologyProfile({dict(self.items())})"
 
 
-def boundary_matrix(c: SimplicialComplex, k: int) -> tuple[list[dict[int, int]], int]:
+def boundary_matrix(
+    c: SimplicialComplex, k: int, skip: AbstractSet[int] = frozenset()
+) -> tuple[list[dict[int, int]], int]:
     """Sparse matrix of the boundary map from k-chains to (k-1)-chains.
 
     Row r is {column: +-1} for the r-th k-face in lexicographic order;
     columns index the (k-1)-faces in the same order.  Removing the j-th
     smallest vertex has sign (-1)^j, so the matrix is deterministic across
-    runs.  Degree -1 is the span of the empty face.
+    runs.  Degree -1 is the span of the empty face.  The rows whose indices
+    are in `skip` are left out, and the others keep their order.
     """
     levels = c.levels
     upper = levels[k + 1] if 0 <= k + 1 < len(levels) else ()
     lower = levels[k] if 0 <= k < len(levels) else ()
+    if skip:
+        upper = [f for j, f in enumerate(upper) if j not in skip]
     index = {f: j for j, f in enumerate(lower)}
     rows = []
     for f in upper:
@@ -94,17 +99,22 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> tuple[list[dict[int, int]],
 
 
 def boundary_square_is_zero(c: SimplicialComplex) -> bool:
-    """Exact integer check that consecutive boundary maps compose to zero."""
-    for k in range(0, c.dim + 1):
-        rows_k1, _ = boundary_matrix(c, k + 1)  # (k+1)-faces -> k-faces
-        rows_k, _ = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
-        for row in rows_k1:
+    """Exact integer check that consecutive boundary maps compose to zero.
+
+    The levels are walked upward, so each boundary matrix is built once and
+    serves as the lower map of the next composition.
+    """
+    lower, _ = boundary_matrix(c, 0)  # vertices -> empty face
+    for k in range(1, c.dim + 1):
+        upper, _ = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
+        for row in upper:
             composed: dict[int, int] = {}
             for j, a in row.items():
-                for t, b in rows_k[j].items():
+                for t, b in lower[j].items():
                     composed[t] = composed.get(t, 0) + a * b
             if any(composed.values()):
                 return False
+        lower = upper
     return True
 
 
@@ -140,8 +150,8 @@ def _compute_profile(
     columns are k-faces that lead a reduced row; such a row is a cycle, so
     the boundary of its leading k-face lies in the span of the boundaries of
     smaller k-faces, and by induction over the k-faces the other rows of
-    boundary_k span its whole row space.  So those rows are dropped before
-    boundary_k is reduced, and its rank is unchanged over every field
+    boundary_k span its whole row space.  So boundary_k is built without
+    those rows, and its rank is unchanged over every field
     (Chen-Kerber, "Persistent homology computation with a twist", EuroCG
     2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  A plain
     elimination of boundary_k reduces rank(boundary_{k+1}) + dim H~_k rows
@@ -155,9 +165,7 @@ def _compute_profile(
     ranks = {}
     cleared: set[int] = set()
     for k in range(min(hi + 1, top), max(lo, 0) - 1, -1):
-        rows, ncols = boundary_matrix(c, k)
-        if cleared:
-            rows = [r for j, r in enumerate(rows) if j not in cleared]
+        rows, ncols = boundary_matrix(c, k, skip=cleared)
         cleared = pivot_columns(rows, ncols, field)
         del rows
         ranks[k] = len(cleared)

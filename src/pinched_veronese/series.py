@@ -1,361 +1,165 @@
-"""Exact univariate polynomial and rational-function arithmetic, Hilbert series.
+"""Hilbert series and h-vectors on integer coefficient lists.
 
-Everything is done over big rationals (fractions.Fraction); no floating point
-enters anywhere.  The closed Hilbert series of the pinched ring is the
-(n-1)-st formal derivative of z^{n-1}/(1-z^d) over (n-1)!, minus a correction
-z^d/(1-z^d)^q with q = n, 1 or 0 according to max(m) = d, d-1 or smaller.
+Every series here has the form z^shift * h(w) / (1 - w)^e with w = z^d and an
+integer polynomial h (Brenti-Welker, "The Veronese construction for formal
+power series and graded algebras", Adv. Appl. Math. 2009).  It is computed
+from its Hilbert function H by convolving H with the coefficients of
+(1 - w)^e, so no rational-function arithmetic is needed.  A factor common to
+h and (1 - w)^e can only be (1 - w), so lowest terms need only a test h(1) = 0
+and a division by (1 - w), which is a running sum.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import TYPE_CHECKING, Iterable
+from itertools import accumulate
+from math import comb
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import UncertifiedTableError
-from .semigroup import PinchConfig, PinchClass
+from .semigroup import PinchClass, PinchConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from .betti import BettiTable
 
 
-class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients (no trailing zeros)."""
+class Polynomial(tuple):
+    """Integer coefficients, constant term first, without trailing zeros.
 
-    __slots__ = ("coeffs",)
+    Indexing past the degree reads 0.
+    """
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __new__(cls, coeffs: Iterable[int] = ()) -> "Polynomial":
+        cs = list(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        return super().__new__(cls, cs)
 
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        return cls((0,) * exponent + (coefficient,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def __getitem__(self, k):
+        if isinstance(k, int) and k >= len(self):
+            return 0
+        return tuple.__getitem__(self, k)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> "Polynomial":
-        other = _promote(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(self[k] + other[k] for k in range(n))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other) -> "Polynomial":
-        return self + (-_promote(other))
-
-    def __rsub__(self, other) -> "Polynomial":
-        return _promote(other) - self
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
-        other = _promote(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        result = Polynomial.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _promote(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def divexact(self, other) -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError("division is not exact")
-        return q
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        return self * (1 / self.coeffs[-1])
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k >= 1)
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def reversed_coeffs(self) -> "Polynomial":
-        return Polynomial(reversed(self.coeffs))
-
-    @property
-    def is_monomial(self) -> bool:
-        return not self.is_zero and sum(1 for c in self.coeffs if c) == 1
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}z^{k}" if k > 1 else f"{mag}z"
-                parts.append(term if c > 0 and not parts else (f"+ {term}" if c > 0 else f"- {term}"))
-        text = " ".join(parts)
-        return text if not text.startswith("+ ") else text[2:]
+        return len(self) - 1
 
 
-def _promote(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial((x,))
-    raise TypeError(f"cannot promote {type(x).__name__} to Polynomial")
+def one_minus_w(e: int) -> Polynomial:
+    """Coefficients of (1 - w)^e."""
+    return Polynomial((-1) ** i * comb(e, i) for i in range(e + 1))
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+class Series(NamedTuple):
+    """z^shift * h(w) / (1 - w)^e with w = z^d, in lowest terms: h(1) != 0 or e = 0."""
 
+    h: Polynomial
+    e: int
+    d: int
+    shift: int = 0
 
-class RationalFunction:
-    """Quotient of polynomials, reduced and normalized on construction.
+    def series(self, order: int) -> list[int]:
+        """Power-series coefficients of z^0 .. z^order.
 
-    Normalization divides out the gcd and scales so the lowest nonzero
-    denominator coefficient is 1 (the constant term whenever possible), making
-    equal functions structurally equal.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        num = _promote(num)
-        den = _promote(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = Polynomial.zero(), Polynomial.one()
-            return
-        g = poly_gcd(num, den)
-        num = num.divexact(g)
-        den = den.divexact(g)
-        low = next(c for c in den.coeffs if c)
-        self.num = num * (1 / low)
-        self.den = den * (1 / low)
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient=1) -> "RationalFunction":
-        return cls(Polynomial.monomial(exponent, coefficient))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    @staticmethod
-    def _coerce(x) -> "RationalFunction":
-        return x if isinstance(x, RationalFunction) else RationalFunction(x)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def series(self, order: int) -> list[Fraction]:
-        """Power-series coefficients 0..order (requires den(0) != 0)."""
-        if self.den[0] == 0:
-            raise ValueError("not expandable at 0: denominator vanishes there")
-        inv0 = 1 / self.den[0]
-        out = []
-        for k in range(order + 1):
-            acc = self.num[k]
-            for j in range(1, min(k, self.den.degree) + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc * inv0)
+        Dividing by (1 - w) takes running sums, so the w-coefficients are h
+        summed e times; they sit at z^(shift + j*d).
+        """
+        out = [0] * (order + 1)
+        width = (order - self.shift) // self.d + 1
+        coeffs = [self.h[j] for j in range(max(width, 0))]
+        for _ in range(self.e):
+            coeffs = list(accumulate(coeffs))
+        out[self.shift::self.d] = coeffs
         return out
 
-    def subs_inverse(self) -> "RationalFunction":
-        """The function z -> f(1/z), cleared back to a polynomial quotient."""
-        rn, rd = self.num.reversed_coeffs(), self.den.reversed_coeffs()
-        shift = self.den.degree - self.num.degree
-        if shift >= 0:
-            return RationalFunction(rn * Polynomial.monomial(shift), rd)
-        return RationalFunction(rn, rd * Polynomial.monomial(-shift))
 
-    def monomial_form(self) -> tuple[bool, int, Fraction]:
-        """(is c*z^e, exponent e, coefficient c); exponents may be negative."""
-        if self.is_zero or not self.num.is_monomial or not self.den.is_monomial:
-            return False, 0, Fraction(0)
-        e = self.num.degree - self.den.degree
-        c = self.num.coeffs[-1] / self.den.coeffs[-1]
-        return True, e, c
+def _cleared(hilbert: Callable[[int], int], t0: int, e: int) -> Polynomial:
+    """The polynomial (1 - w)^e * sum_t hilbert(t) w^t.
 
-    def __repr__(self) -> str:
-        return f"({self.num!r}) / ({self.den!r})"
-
-
-# -- Hilbert series ------------------------------------------------------
-
-
-def veronese_module_series(n: int, d: int, k: int) -> RationalFunction:
-    """Hilbert series of the degree-k slice module: derivatives of z^{k+n-1}/(1-z^d)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k < d:
-        raise ValueError(f"k must satisfy 0 <= k < d, got k={k}, d={d}")
-    f = RationalFunction(
-        Polynomial.monomial(k + n - 1), Polynomial.one() - Polynomial.monomial(d)
+    Requires hilbert(t) = P(t) for t >= t0 with P a polynomial of degree
+    less than e.  The w^j coefficient is the e-th backward difference
+    sum_i (-1)^i C(e, i) hilbert(j - i) (hilbert = 0 below 0).  For
+    j >= t0 + e every argument j - i is at least t0, so the coefficient is
+    the e-th difference of P, which vanishes since deg P < e.  So the
+    product has degree below t0 + e, and only hilbert(0 .. t0+e-1) is read.
+    """
+    top = t0 + e
+    values = [hilbert(t) for t in range(top)]
+    signs = one_minus_w(e)
+    return Polynomial(
+        sum(signs[i] * values[j - i] for i in range(min(j, e) + 1)) for j in range(top)
     )
-    for _ in range(n - 1):
-        f = f.derivative()
-    return f * Fraction(1, factorial(n - 1))
 
 
-def hilbert_closed(config: PinchConfig) -> RationalFunction:
-    """Closed Hilbert series of the pinched ring, in lowest terms."""
-    base = veronese_module_series(config.n, config.d, 0)
-    one_minus = Polynomial.one() - Polynomial.monomial(config.d)
-    q = {
+def _lowest_terms(h: Polynomial, e: int) -> tuple[Polynomial, int]:
+    """Divide h / (1 - w)^e by (1 - w) while h(1) = 0."""
+    while e and not sum(h):
+        # h = (1 - w) * q with q_j = h_0 + ... + h_j; the last sum is h(1) = 0
+        h = Polynomial(accumulate(h))
+        e -= 1
+    return h, e
+
+
+# -- Hilbert series of the pinched ring ------------------------------------
+
+
+def _hole_exponent(config: PinchConfig) -> int:
+    """q with sum_t holes(t) w^t = w / (1 - w)^q: n, 1 or 0 by class."""
+    if config.d == 2 and config.pinch_class is PinchClass.MAX_D_MINUS_1:
+        # t vectors (odd, odd, 0, ..., 0) are missing in degree 2t, not one
+        return 2
+    return {
         PinchClass.MAX_D: config.n,
         PinchClass.MAX_D_MINUS_1: 1,
         PinchClass.INTERIOR: 0,
     }[config.pinch_class]
-    if config.d == 2 and config.pinch_class is PinchClass.MAX_D_MINUS_1:
-        # t vectors (odd, odd, 0, ..., 0) are missing in degree 2t, not one
-        q = 2
-    correction = RationalFunction(Polynomial.monomial(config.d), one_minus**q)
-    return base - correction
 
 
-def coarsen(poly: Polynomial, d: int) -> Polynomial:
-    """Substitute z^d -> w; raises if a coefficient sits at a non-multiple of d."""
-    for k, c in enumerate(poly.coeffs):
-        if c and k % d != 0:
-            raise ArithmeticError(f"coefficient at z^{k} is not supported on multiples of {d}")
-    return Polynomial(poly.coeffs[::d] if poly.coeffs else ())
+def hilbert_function(config: PinchConfig, t: int) -> int:
+    """Dimension of the coarse degree-t part: C(td+n-1, n-1) minus the holes.
+
+    The holes of degree t number C(t+q-2, q-1) for t >= 1, the w^t
+    coefficient of w / (1 - w)^q; for q = 0 that is one hole, at t = 1.
+    """
+    full = comb(t * config.d + config.n - 1, config.n - 1)
+    q = _hole_exponent(config)
+    if t == 0 or (q == 0 and t > 1):
+        return full
+    return full - (1 if q == 0 else comb(t + q - 2, q - 1))
 
 
 def _cleared_numerator(config: PinchConfig) -> Polynomial:
-    """hilbert_closed times (1-z^d)^(N-1); always a polynomial."""
-    one_minus = Polynomial.one() - Polynomial.monomial(config.d)
-    cleared = hilbert_closed(config) * RationalFunction(one_minus ** (config.N - 1))
-    if cleared.den != Polynomial.one():
-        raise ArithmeticError("clearing the presentation denominator left a true quotient")
-    return cleared.num
+    """The Hilbert series times (1 - w)^(N-1), in w.
+
+    The hole count is a polynomial in t from t0 = 2 on for the interior
+    class (one hole at t = 1, none after) and from t0 = 1 otherwise, and so
+    is H, with degree at most n - 1.  For n, d >= 2,
+    N - 1 >= C(n+1, 2) - 1 >= n, so `_cleared` applies and the numerator has
+    degree below t0 + N - 1.
+    """
+    t0 = 2 if config.pinch_class is PinchClass.INTERIOR else 1
+    return _cleared(lambda t: hilbert_function(config, t), t0, config.N - 1)
+
+
+def hilbert_closed(config: PinchConfig) -> Series:
+    """Closed Hilbert series of the pinched ring, in lowest terms."""
+    return Series(*_lowest_terms(_cleared_numerator(config), config.N - 1), config.d)
+
+
+def veronese_module_series(n: int, d: int, k: int) -> Series:
+    """Hilbert series of the degree-k slice module: sum_t C(td+k+n-1, n-1) z^(td+k).
+
+    The coefficient is a polynomial in t of degree n - 1 from t = 0 on, so
+    the h-vector is the cleared numerator over (1 - w)^n.  It is in lowest
+    terms: h(1) is (n-1)! times that polynomial's leading coefficient
+    d^(n-1)/(n-1)!, so h(1) = d^(n-1) != 0.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= k < d:
+        raise ValueError(f"k must satisfy 0 <= k < d, got k={k}, d={d}")
+    h = _cleared(lambda t: comb(t * d + k + n - 1, n - 1), 0, n)
+    return Series(h, n, d, k)
 
 
 def h_polynomial(config: PinchConfig) -> Polynomial:
@@ -366,7 +170,7 @@ def h_polynomial(config: PinchConfig) -> Polynomial:
     """
     if config.n != 2:
         raise ValueError("the h-polynomial shortcut is defined for n = 2 only")
-    return coarsen(_cleared_numerator(config), config.d)
+    return _cleared_numerator(config)
 
 
 def betti_alternating_polynomial(table: "BettiTable") -> Polynomial:
@@ -375,12 +179,7 @@ def betti_alternating_polynomial(table: "BettiTable") -> Polynomial:
     for (i, s), v in table.entries.items():
         if v:
             by_s[s] = by_s.get(s, 0) + (v if i % 2 == 0 else -v)
-    if not by_s:
-        return Polynomial.zero()
-    out = [0] * (max(by_s) + 1)
-    for s, v in by_s.items():
-        out[s] = v
-    return Polynomial(out)
+    return Polynomial(by_s.get(s, 0) for s in range(max(by_s, default=-1) + 1))
 
 
 def k_polynomial_check(table: "BettiTable", config: PinchConfig) -> bool:
@@ -393,9 +192,7 @@ def k_polynomial_check(table: "BettiTable", config: PinchConfig) -> bool:
         raise UncertifiedTableError(
             f"guard column s = {table.s_max} contains a nonzero entry"
         )
-    lhs = betti_alternating_polynomial(table)
-    rhs = coarsen(_cleared_numerator(config), config.d)
-    return lhs == rhs
+    return betti_alternating_polynomial(table) == _cleared_numerator(config)
 
 
 # -- canonical modules ----------------------------------------------------
@@ -408,17 +205,21 @@ def canonical_partner(n: int, d: int, k: int) -> int:
     return (-n - k) % d
 
 
-def canonical_series_check(n: int, d: int, k: int) -> tuple[bool, int]:
-    """Hilbert-level duality: (-1)^n * S(1/z) over the partner series.
+def canonical_series_check(n: int, d: int, k: int, partner: int | None = None) -> tuple[bool, int]:
+    """Hilbert-level duality: (-1)^n * S_k(1/z) = z^shift * S_t(z), t the partner.
 
-    Returns (holds, shift): holds when the quotient is a single monomial with
-    coefficient +-1, and shift is its exponent.
+    With S_k = z^k h_k(w) / (1 - w)^n and a = deg h_k,
+    (-1)^n S_k(1/z) = z^(-k) w^(n-a) rev(h_k)(w) / (1 - w)^n, where rev
+    reverses the coefficients.  Both rev(h_k) and h_t have nonzero constant
+    terms, so the quotient by S_t is a monomial c*z^shift exactly when
+    rev(h_k) = c*h_t, and then shift = d(n - a) - k - t (Stanley, "Hilbert
+    functions of graded algebras", Adv. Math. 1978).  The slices are
+    Cohen-Macaulay, so their h-vectors are nonnegative and c = -1 cannot
+    occur: the duality holds when rev(h_k) = h_t.  Returns (holds, shift),
+    with shift 0 when it fails.  `partner` defaults to
+    canonical_partner(n, d, k).
     """
-    if not 0 <= k < d:
-        raise ValueError(f"k must satisfy 0 <= k < d, got k={k}, d={d}")
-    t = canonical_partner(n, d, k)
-    reflected = veronese_module_series(n, d, k).subs_inverse() * Fraction((-1) ** n)
-    quotient = reflected / veronese_module_series(n, d, t)
-    ok, exponent, coeff = quotient.monomial_form()
-    holds = ok and abs(coeff) == 1
-    return holds, (exponent if holds else 0)
+    t = canonical_partner(n, d, k) if partner is None else partner
+    hk = veronese_module_series(n, d, k).h
+    holds = hk[::-1] == veronese_module_series(n, d, t).h
+    return holds, (d * (n - hk.degree) - k - t if holds else 0)

@@ -291,3 +291,30 @@ def test_dual_levels_match_complements_of_non_faces(c, extra):
         if not d.is_void:
             dd = alexander_dual(d, d.ground)
             assert dd.levels == dual_by_complements(d, d.ground).levels
+
+
+@given(random_complexes(), random_complexes(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_involution_levels_compare_like_face_sets(a, b, data):
+    # levels are canonical, so comparing them is exactly as strict as
+    # comparing face sets, for the double dual as for any other pair
+    for c in (a, b):
+        d = alexander_dual(c)
+        if d.is_void:
+            continue
+        dd = alexander_dual(d, d.ground)
+        for other in (a, b):
+            assert (dd.levels == other.levels) == (set(dd.faces) == set(other.faces))
+        assert dd.levels == c.levels
+        drop = data.draw(st.sampled_from(sorted(dd.faces, key=sorted)))
+        broken = SimplicialComplex(dd.ground, [f for f in dd.faces if f != drop])
+        assert broken.levels != c.levels and broken.faces != c.faces
+
+
+def test_divisor_complex_levels_are_canonical():
+    # the grown levels match the constructor's lexicographic sort of the faces
+    for config in (cfg(2, 5, (2, 3)), cfg(3, 3, (1, 1, 1))):
+        for t in range(5):
+            for h in enumerate_degree(config, t):
+                c = build_divisor_complex(h, config)
+                assert c.levels == SimplicialComplex(c.ground, c.faces).levels, h

@@ -225,6 +225,44 @@ def test_boundary_square_zero_on_divisor_complexes():
             assert boundary_square_is_zero(c), h
 
 
+def test_boundary_square_catches_one_flipped_sign(monkeypatch):
+    import pinched_veronese.homology as homology
+
+    c = SimplicialComplex.full_simplex(range(4))
+    built = []
+    original = homology.boundary_matrix
+
+    def counted(c, k, **kw):
+        built.append(k)
+        return original(c, k, **kw)
+
+    monkeypatch.setattr(homology, "boundary_matrix", counted)
+    assert boundary_square_is_zero(c)
+    assert built == list(range(0, c.dim + 1))  # each matrix built once
+    for k in range(0, c.dim + 1):
+        rows, _ = original(c, k)
+        for r, row in enumerate(rows):
+            for j in row:
+                def flipped(c, kk, r=r, j=j, k=k, **kw):
+                    rows, ncols = original(c, kk, **kw)
+                    if kk == k:
+                        rows[r][j] = -rows[r][j]
+                    return rows, ncols
+
+                monkeypatch.setattr(homology, "boundary_matrix", flipped)
+                assert not boundary_square_is_zero(c), (k, r, j)
+
+
+def test_boundary_matrix_skips_rows_in_order():
+    c = SimplicialComplex.full_simplex(range(4))
+    for k in range(0, c.dim + 1):
+        rows, ncols = boundary_matrix(c, k)
+        for skip in ({0}, set(range(0, len(rows), 2)), set(range(len(rows)))):
+            kept, kept_ncols = boundary_matrix(c, k, skip=skip)
+            assert kept_ncols == ncols
+            assert kept == [row for j, row in enumerate(rows) if j not in skip]
+
+
 def test_euler_characteristic_on_divisor_complexes():
     config = PinchConfig(2, 5, Multidegree((4, 1)))
     for t in range(0, 6):

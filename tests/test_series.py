@@ -1,14 +1,18 @@
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import pinched_veronese
 from pinched_veronese import (
     Multidegree,
+    PinchClass,
     PinchConfig,
     Polynomial,
-    RationalFunction,
+    Series,
     UncertifiedTableError,
     canonical_partner,
     canonical_series_check,
@@ -16,9 +20,11 @@ from pinched_veronese import (
     graded_betti,
     h_polynomial,
     hilbert_closed,
+    hilbert_function,
     k_polynomial_check,
     veronese_module_series,
 )
+from pinched_veronese.series import _cleared_numerator, _lowest_terms, one_minus_w
 
 
 def cfg(n, d, m):
@@ -29,94 +35,90 @@ def comb0(n, k):
     return comb(n, k) if 0 <= k <= n else 0
 
 
-def one_minus_zd(d):
-    return Polynomial.one() - Polynomial.monomial(d)
-
-
-# -- polynomial / rational arithmetic ----------------------------------------
+# -- integer coefficient lists ------------------------------------------------
 
 
 def test_polynomial_basics():
-    p = Polynomial((1, 0, -2))
-    q = Polynomial((0, 1))
-    assert (p + q).coeffs == (1, 1, -2)
-    assert (p * q).coeffs == (0, 1, 0, -2)
-    assert (-p).coeffs == (-1, 0, 2)
-    assert p.degree == 2 and Polynomial.zero().degree == -1
-    assert Polynomial((0, 0)).is_zero
-    assert p(2) == 1 - 8
-    assert Polynomial.monomial(3, 5).coeffs == (0, 0, 0, 5)
-    assert p.derivative().coeffs == (0, -4)
+    p = Polynomial((1, 0, -2, 0, 0))
+    assert p == (1, 0, -2) and p.degree == 2
+    assert p[0] == 1 and p[2] == -2 and p[3] == 0 and p[100] == 0
+    assert Polynomial((0, 0)) == () and Polynomial().degree == -1
+    assert one_minus_w(3) == (1, -3, 3, -1) and one_minus_w(0) == (1,)
 
 
-def test_polynomial_division_and_gcd():
-    a = Polynomial((1, 2, 1))  # (1+z)^2
-    b = Polynomial((1, 1))
-    q, r = divmod(a, b)
-    assert r.is_zero and q == b
-    assert a.divexact(b) == b
-    with pytest.raises(ArithmeticError):
-        Polynomial((1, 1, 1)).divexact(b)
-
-
-def test_rational_function_normalization():
-    f = RationalFunction(Polynomial((2, 2)), Polynomial((4, 0, -4)))
-    # (2+2z)/(4-4z^2) = 1/(2(1-z)): constant term of the denominator is 1
-    assert f.den[0] == 1
-    assert f == RationalFunction(Polynomial((Fraction(1, 2),)), Polynomial((1, -1)))
-    with pytest.raises(ZeroDivisionError):
-        RationalFunction(Polynomial.one(), Polynomial.zero())
+def test_lowest_terms_divides_by_one_minus_w():
+    # (1-w)^2 (1+w) / (1-w)^3 = (1+w) / (1-w)
+    assert _lowest_terms(Polynomial((1, -1, -1, 1)), 3) == ((1, 1), 1)
+    # h(1) != 0: nothing to divide
+    assert _lowest_terms(Polynomial((1, 2)), 2) == ((1, 2), 2)
+    # the denominator runs out before the numerator stops vanishing at 1
+    assert _lowest_terms(Polynomial((1, -2, 1)), 1) == ((1, -1), 0)
 
 
 def test_rational_series_expansion():
-    geom = RationalFunction(Polynomial.one(), Polynomial((1, -1)))
-    assert geom.series(5) == [1, 1, 1, 1, 1, 1]
-    f = RationalFunction(Polynomial.one(), one_minus_zd(1) ** 2)
-    assert f.series(4) == [1, 2, 3, 4, 5]
+    assert Series(Polynomial((1,)), 1, 1).series(5) == [1, 1, 1, 1, 1, 1]
+    assert Series(Polynomial((1,)), 2, 1).series(4) == [1, 2, 3, 4, 5]
+    # z^1 (1 + w) / (1 - w) with w = z^3
+    assert Series(Polynomial((1, 1)), 1, 3, 1).series(8) == [0, 1, 0, 0, 2, 0, 0, 2, 0]
+    assert Series(Polynomial((1,)), 1, 2, 3).series(1) == [0, 0]
+    assert Series(Polynomial((1,)), 1, 2).series(-1) == []
 
 
-def test_subs_inverse():
-    f = RationalFunction(Polynomial.one(), Polynomial((1, -1)))  # 1/(1-z)
-    g = f.subs_inverse()  # 1/(1-1/z) = -z/(1-z)
-    assert g == RationalFunction(Polynomial((0, -1)), Polynomial((1, -1)))
-    # involution
-    assert g.subs_inverse() == f
+def test_hilbert_closed_is_in_lowest_terms():
+    for n in (2, 3, 4):
+        for d in range(2, 7):
+            for m in pinch_representatives(n, d):
+                got = hilbert_closed(cfg(n, d, m))
+                assert got.e == 0 or sum(got.h) != 0, (n, d, m)
+                assert got.d == d and got.shift == 0
+                assert got.h[0] == 1
 
 
-def test_monomial_form():
-    ok, e, c = RationalFunction(Polynomial.monomial(3, 2)).monomial_form()
-    assert ok and e == 3 and c == 2
-    ok, e, c = (RationalFunction(Polynomial.monomial(1)) /
-                RationalFunction(Polynomial.monomial(4))).monomial_form()
-    assert ok and e == -3 and c == 1
-    ok, _, _ = RationalFunction(Polynomial((1, 1))).monomial_form()
-    assert not ok
+def pinch_representatives(n, d):
+    """One pinch vector per class (the series depends on the class only)."""
+    reps = [(d,) + (0,) * (n - 1), (d - 1, 1) + (0,) * (n - 2)]
+    if d >= 3 and n >= 3:
+        reps.append((d - 2, 1, 1) + (0,) * (n - 3))
+    if d >= 4 and n == 2:
+        reps.append((2, d - 2))
+    return reps
 
 
-small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+def convolve_far(config, length):
+    """(1-w)^(N-1) * sum_t H(t) w^t through w^(length-1), with no degree bound."""
+    values = [hilbert_function(config, t) for t in range(length)]
+    e = config.N - 1
+    return [sum((-1) ** i * comb(e, i) * values[j - i] for i in range(min(j, e) + 1))
+            for j in range(length)]
 
 
-@given(st.lists(small_fracs, max_size=4), st.lists(small_fracs, max_size=4),
-       st.lists(small_fracs, max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_polynomial_ring_axioms(a, b, c):
-    pa, pb, pc = Polynomial(a), Polynomial(b), Polynomial(c)
-    assert pa * (pb + pc) == pa * pb + pa * pc
-    assert (pa * pb) * pc == pa * (pb * pc)
-    assert pa + pb == pb + pa
+def test_cleared_numerator_truncation_is_exact():
+    # the coefficients past t0 + N - 1 vanish, so nothing is cut off
+    for n in (2, 3, 4):
+        for d in range(2, 7):
+            for m in pinch_representatives(n, d):
+                config = cfg(n, d, m)
+                t0 = 2 if config.pinch_class is PinchClass.INTERIOR else 1
+                far = convolve_far(config, t0 + config.N - 1 + 6)
+                assert all(c == 0 for c in far[t0 + config.N - 1:]), (n, d, m)
+                assert _cleared_numerator(config) == Polynomial(far), (n, d, m)
 
 
-@given(st.lists(small_fracs, min_size=1, max_size=3),
-       st.lists(small_fracs, min_size=1, max_size=3))
-@settings(max_examples=50, deadline=None)
-def test_rational_function_field_axioms(a, b):
-    pa, pb = Polynomial(a), Polynomial(b)
-    if pa.is_zero or pb.is_zero:
-        return
-    f = RationalFunction(pa, pb)
-    assert f - f == RationalFunction(Polynomial.zero())
-    assert f / f == RationalFunction(Polynomial.one())
-    assert (f + f) == f * 2
+def test_hilbert_function_counts_the_lattice():
+    for config in (cfg(2, 5, (5, 0)), cfg(2, 5, (4, 1)), cfg(2, 5, (2, 3)),
+                   cfg(3, 2, (1, 1, 0)), cfg(3, 3, (1, 1, 1)), cfg(4, 2, (2, 0, 0, 0))):
+        for t in range(7):
+            assert hilbert_function(config, t) == len(enumerate_degree(config, t)), (config, t)
+
+
+def test_closed_series_expands_to_the_hilbert_function():
+    for n in (2, 3, 4):
+        for d in range(2, 7):
+            for m in pinch_representatives(n, d):
+                config = cfg(n, d, m)
+                coeffs = hilbert_closed(config).series(10 * d)
+                assert coeffs[::d] == [hilbert_function(config, t) for t in range(11)]
+                assert not any(c for k, c in enumerate(coeffs) if k % d)
 
 
 # -- closed Hilbert series ---------------------------------------------------
@@ -125,29 +127,25 @@ def test_rational_function_field_axioms(a, b):
 def test_hilbert_closed_max_d():
     for d in range(3, 8):
         got = hilbert_closed(cfg(2, d, (d, 0)))
-        num = Polynomial.one() + Polynomial.monomial(d, d - 2)
-        assert got == RationalFunction(num, one_minus_zd(d) ** 2), d
+        assert got == Series(Polynomial((1, d - 2)), 2, d), d
 
 
 def test_hilbert_closed_max_d_minus_1():
     for d in range(3, 8):
         got = hilbert_closed(cfg(2, d, (d - 1, 1)))
-        num = Polynomial.one() + Polynomial.monomial(d, d - 2) + Polynomial.monomial(2 * d)
-        assert got == RationalFunction(num, one_minus_zd(d) ** 2), d
+        assert got == Series(Polynomial((1, d - 2, 1)), 2, d), d
 
 
 def test_hilbert_closed_interior():
     for d in range(4, 8):
         got = hilbert_closed(cfg(2, d, (2, d - 2)))
-        num = (Polynomial.one() + Polynomial.monomial(d, d - 2)
-               + Polynomial.monomial(2 * d, 2) - Polynomial.monomial(3 * d))
-        assert got == RationalFunction(num, one_minus_zd(d) ** 2), d
+        assert got == Series(Polynomial((1, d - 2, 2, -1)), 2, d), d
 
 
 def test_hilbert_closed_degree_two_pinch():
     # removing (1,1) leaves the polynomial ring on the two pure squares
     got = hilbert_closed(cfg(2, 2, (1, 1)))
-    assert got == RationalFunction(Polynomial.one(), one_minus_zd(2) ** 2)
+    assert got == Series(Polynomial((1,)), 2, 2)
     counted = hilbert_closed(cfg(3, 2, (1, 1, 0))).series(12)
     for t in range(7):
         assert counted[2 * t] == len(enumerate_degree(cfg(3, 2, (1, 1, 0)), t))
@@ -174,15 +172,14 @@ def test_hilbert_counting_cross_check():
 def test_veronese_series_two_vars():
     for d in range(2, 7):
         got = veronese_module_series(2, d, 0)
-        num = Polynomial.one() + Polynomial.monomial(d, d - 1)
-        assert got == RationalFunction(num, one_minus_zd(d) ** 2)
+        assert got == Series(Polynomial((1, d - 1)), 2, d)
 
 
 def test_veronese_series_one_var():
     for d in range(2, 5):
         for k in range(d):
             got = veronese_module_series(1, d, k)
-            assert got == RationalFunction(Polynomial.monomial(k), one_minus_zd(d))
+            assert got == Series(Polynomial((1,)), 1, d, k)
 
 
 def test_veronese_series_monomial_count():
@@ -199,22 +196,11 @@ def test_veronese_series_parameter_range():
         veronese_module_series(0, 3, 0)
 
 
-def test_derivative_identity():
-    # d/dz of the slice series equals n times the (n+1)-variable series
-    for n in range(1, 5):
-        for d in range(2, 6):
-            for k in range(1, d):
-                lhs = veronese_module_series(n, d, k).derivative()
-                rhs = veronese_module_series(n + 1, d, k - 1) * Fraction(n)
-                assert lhs == rhs, (n, d, k)
-
-
 # -- h-polynomial ------------------------------------------------------------
 
 
 def test_h_polynomial_gorenstein_case():
-    coeffs = h_polynomial(cfg(2, 5, (4, 1))).coeffs
-    assert list(coeffs) == [1, 0, -5, 5, 0, -1]
+    assert h_polynomial(cfg(2, 5, (4, 1))) == (1, 0, -5, 5, 0, -1)
 
 
 def test_h_polynomial_requires_two_vars():
@@ -239,8 +225,8 @@ def test_h_polynomial_max_d_minus_1_formula():
     for d in range(3, 11):
         h = h_polynomial(cfg(2, d, (d - 1, 1)))
         for i in range(0, d + 1):
-            want = Fraction(sign(i - 1) * comb0(d, i) * (i - 1) * (d - i - 1), d - 1)
-            assert h[i] == want, (d, i)
+            want = sign(i - 1) * comb0(d, i) * (i - 1) * (d - i - 1)
+            assert h[i] * (d - 1) == want, (d, i)
 
 
 def test_h_polynomial_interior_formula():
@@ -324,3 +310,44 @@ def test_canonical_series_check_sweep():
             for k in range(d):
                 holds, _ = canonical_series_check(n, d, k)
                 assert holds, (n, d, k)
+
+
+def test_canonical_series_check_wrong_partner_fails():
+    # the partner of k=1 at n=2, d=5 is 2; every other slice fails the duality
+    for t in (0, 1, 3, 4):
+        assert canonical_series_check(2, 5, 1, partner=t) == (False, 0), t
+    assert canonical_series_check(2, 5, 1, partner=2) == canonical_series_check(2, 5, 1)
+    for n in (2, 3):
+        for d in range(2, 7):
+            for k in range(d):
+                t = canonical_partner(n, d, k)
+                for other in range(d):
+                    if other != t:
+                        assert not canonical_series_check(n, d, k, partner=other)[0]
+
+
+def evaluate(series, z):
+    """The rational function z^shift * h(z^d) / (1 - z^d)^e at a rational point."""
+    w = z ** series.d
+    return z ** series.shift * sum(c * w ** j for j, c in enumerate(series.h)) / (1 - w) ** series.e
+
+
+def test_canonical_shift_evaluates_the_duality():
+    # (-1)^n S_k(1/z) = z^shift S_t(z), evaluated exactly away from the poles
+    for n in (1, 2, 3):
+        for d in range(1, 6):
+            for k in range(d):
+                holds, shift = canonical_series_check(n, d, k)
+                sk = veronese_module_series(n, d, k)
+                st = veronese_module_series(n, d, canonical_partner(n, d, k))
+                for z in (Fraction(2), Fraction(-3, 5)):
+                    assert (-1) ** n * evaluate(sk, 1 / z) == z ** shift * evaluate(st, z), (n, d, k)
+
+
+def test_cli_import_leaves_fractions_out():
+    src = str(Path(pinched_veronese.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pinched_veronese.cli; "
+            "print('fractions' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
