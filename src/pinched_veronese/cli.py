@@ -40,6 +40,7 @@ from .series import (
     h_polynomial,
     hilbert_closed,
     hilbert_function,
+    in_z,
     one_minus_w,
 )
 from .theorems import expected_table, has_catalog, verify
@@ -72,13 +73,6 @@ def _cache_for(args, config, field):
     if not directory:
         return None
     return HomologyCache(directory, config, field)
-
-
-def _in_z(coeffs, d: int) -> list[int]:
-    """Coefficients of p(z^d) from those of p(w)."""
-    out = [0] * (d * (len(coeffs) - 1) + 1)
-    out[::d] = coeffs
-    return out
 
 
 def _config_fields(config: PinchConfig) -> dict:
@@ -137,13 +131,13 @@ def _cmd_member(args) -> CommandResult:
 def _cmd_hilbert(args) -> CommandResult:
     config = _config_from_args(args)
     series = hilbert_closed(config)
-    num, den = _in_z(series.h, config.d), _in_z(one_minus_w(series.e), config.d)
+    num, den = in_z(series.h, config.d), in_z(one_minus_w(series.e), config.d)
     payload = {**_config_fields(config), "numerator": num, "denominator": den}
     rows = [["part", "coefficients"],
             ["numerator", " ".join(map(str, num))], ["denominator", " ".join(map(str, den))]]
     if args.expand is not None:
-        payload["expansion"] = [0 if k % config.d else hilbert_function(config, k // config.d)
-                                for k in range(args.expand + 1)]
+        values = (hilbert_function(config, t) for t in range(args.expand // config.d + 1))
+        payload["expansion"] = in_z(values, config.d, order=args.expand)
         rows.append(["expansion", " ".join(map(str, payload["expansion"]))])
 
     def text():

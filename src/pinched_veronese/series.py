@@ -25,7 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class Polynomial(tuple):
     """Integer coefficients, constant term first, without trailing zeros.
 
-    Indexing past the degree reads 0.
+    Reading an index outside 0 .. degree gives 0, so a coefficient formula
+    can be compared over any range of degrees.
     """
 
     def __new__(cls, coeffs: Iterable[int] = ()) -> "Polynomial":
@@ -35,19 +36,29 @@ class Polynomial(tuple):
         return super().__new__(cls, cs)
 
     def __getitem__(self, k):
-        if isinstance(k, int) and k >= len(self):
+        if isinstance(k, int) and not 0 <= k < len(self):
             return 0
         return tuple.__getitem__(self, k)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self) - 1
 
 
 def one_minus_w(e: int) -> Polynomial:
     """Coefficients of (1 - w)^e."""
     return Polynomial((-1) ** i * comb(e, i) for i in range(e + 1))
+
+
+def in_z(coeffs: Iterable[int], d: int, shift: int = 0, order: int | None = None) -> list[int]:
+    """Coefficients of z^shift * p(z^d) through z^order, from those of p(w).
+
+    The w^j coefficient sits at z^(shift + j*d).  `order` defaults to the
+    degree; coefficients past it are dropped and missing ones read 0.
+    """
+    cs = list(coeffs)
+    if order is None:
+        order = shift + d * (len(cs) - 1)
+    out = [0] * (order + 1)
+    width = len(range(shift, order + 1, d))
+    out[shift::d] = (cs + [0] * width)[:width]
+    return out
 
 
 class Series(NamedTuple):
@@ -61,16 +72,14 @@ class Series(NamedTuple):
     def series(self, order: int) -> list[int]:
         """Power-series coefficients of z^0 .. z^order.
 
-        Dividing by (1 - w) takes running sums, so the w-coefficients are h
-        summed e times; they sit at z^(shift + j*d).
+        Dividing by (1 - w) takes running sums, so the w-coefficients are h,
+        padded with zeros, summed e times.
         """
-        out = [0] * (order + 1)
-        width = (order - self.shift) // self.d + 1
-        coeffs = [self.h[j] for j in range(max(width, 0))]
+        width = len(range(self.shift, order + 1, self.d))
+        coeffs = (list(self.h) + [0] * width)[:width]
         for _ in range(self.e):
             coeffs = list(accumulate(coeffs))
-        out[self.shift::self.d] = coeffs
-        return out
+        return in_z(coeffs, self.d, self.shift, order)
 
 
 def _cleared(hilbert: Callable[[int], int], t0: int, e: int) -> Polynomial:
@@ -205,7 +214,7 @@ def canonical_partner(n: int, d: int, k: int) -> int:
     return (-n - k) % d
 
 
-def canonical_series_check(n: int, d: int, k: int, partner: int | None = None) -> tuple[bool, int]:
+def canonical_series_check(n: int, d: int, k: int) -> tuple[bool, int]:
     """Hilbert-level duality: (-1)^n * S_k(1/z) = z^shift * S_t(z), t the partner.
 
     With S_k = z^k h_k(w) / (1 - w)^n and a = deg h_k,
@@ -216,10 +225,10 @@ def canonical_series_check(n: int, d: int, k: int, partner: int | None = None) -
     functions of graded algebras", Adv. Math. 1978).  The slices are
     Cohen-Macaulay, so their h-vectors are nonnegative and c = -1 cannot
     occur: the duality holds when rev(h_k) = h_t.  Returns (holds, shift),
-    with shift 0 when it fails.  `partner` defaults to
-    canonical_partner(n, d, k).
+    with shift 0 when it fails.
     """
-    t = canonical_partner(n, d, k) if partner is None else partner
+    t = canonical_partner(n, d, k)
     hk = veronese_module_series(n, d, k).h
     holds = hk[::-1] == veronese_module_series(n, d, t).h
-    return holds, (d * (n - hk.degree) - k - t if holds else 0)
+    a = len(hk) - 1
+    return holds, (d * (n - a) - k - t if holds else 0)
