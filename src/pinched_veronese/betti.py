@@ -12,7 +12,7 @@ import os
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .complexes import build_divisor_complex, veronese_generators
 from .errors import ResourceLimitExceeded, UncertifiedTableError
@@ -126,57 +126,95 @@ def _profile_worker(args) -> list[list[int]]:
     return profile.to_pairs()
 
 
-def _cone_apexes(config: PinchConfig) -> list[tuple[int, list[int]]]:
-    """The pure powers d*e_q that the cone certificate tries, with their T_q.
+# one coordinate demand of a cone apex g: (q, T_q, need_q), see `_cone_apexes`
+_Condition = tuple[int, list[int], Callable[[int], int]]
 
-    d*e_q is tried when m_q < d-1: it is then a generator, and no hole can
-    use up its q-coordinate (see `_apex_bounds`).  T_q[k] is the sum of the
-    k largest q-coordinates among the other generators, so it bounds the
-    q-coordinate of sum(F) for every set F of k generators avoiding d*e_q.
+
+def _cone_apexes(config: PinchConfig) -> list[list[_Condition]]:
+    """The generators g that the cone certificate tries, each as the list of
+    its coordinate conditions (q, T_q, need_q); `_apex_bounds` has the proofs.
+
+    Tried are every pure power d*e_q that is a generator (m_q <= d-1) and,
+    for max m = d at p, every (d-1)*e_p + e_q with q != p.  T_q[k] is the sum
+    of the k largest q-coordinates among the generators other than g (g is
+    left out by index), so it bounds the q-coordinate of sum(F) for every set
+    F of k generators avoiding g.  need_q(t), for t >= 1, is the q-coordinate
+    that a remainder of total t*d must reach for g to come off it inside H.
     """
-    d = config.d
+    d, m, n, cls = config.d, config.m, config.n, config.pinch_class
     gens = generate_generators(config).gens
-    return [(q, [0, *accumulate(sorted((g[q] for g in gens if g[q] != d), reverse=True))])
-            for q in range(config.n) if config.m[q] < d - 1]
+
+    def condition(g: tuple[int, ...], q: int, need: Callable[[int], int]) -> _Condition:
+        skip = gens.index(g)
+        coords = sorted((x[q] for j, x in enumerate(gens) if j != skip), reverse=True)
+        return q, [0, *accumulate(coords)], need
+
+    def power_need(q: int) -> Callable[[int], int]:
+        if m[q] == d - 1:
+            return lambda t: d
+        if cls is PinchClass.INTERIOR:
+            return lambda t: d + m[q] + 1 if t == 2 else d
+        if cls is PinchClass.MAX_D:
+            return lambda t: d + t - 1
+        return lambda t: d if t == 1 else (d + 2 if m[q] == 1 else d + 1)
+
+    def vector(coords: dict[int, int]) -> tuple[int, ...]:
+        return tuple(coords.get(j, 0) for j in range(n))
+
+    apexes = [[condition(vector({q: d}), q, power_need(q))] for q in range(n) if m[q] < d]
+    if cls is PinchClass.MAX_D:
+        p = m.index(d)
+        for q in range(n):
+            if q != p:
+                g = vector({p: d - 1, q: 1})
+                apexes.append([condition(g, p, lambda t: d - 1)]
+                              + ([condition(g, q, lambda t: 1)] if n >= 3 else []))
+    return apexes
 
 
-def _apex_bounds(
-    config: PinchConfig, apexes: list[tuple[int, list[int]]], s: int
-) -> list[tuple[int, int]]:
-    """Pairs (q, b): d*e_q is an apex of the divisor complex of every h of
-    coarse degree s with h_q >= b, so that complex is a cone.
+def _apex_bounds(apexes: list[list[_Condition]], s: int) -> list[list[tuple[int, int]]]:
+    """Per apex g, the pairs (q, b): g is an apex of the divisor complex of
+    every h of coarse degree s with h_q >= b at each of its pairs, so that
+    complex is a cone.
 
-    Let e = d*e_q and let F be a face avoiding e, with f = |F| vertices (so
-    f <= min(s, N-2)).  Its remainder r = h - sum(F) has total t*d with
-    t = s - f, and r_q >= h_q - T_q[f].  F + e is a face when r - e is in H,
-    and that holds once r_q >= need(t):
-      t = 0: 1, which r = 0 cannot meet, so no such F exists;
-      t = 1: d, so r - e = 0;
-      t >= 2: d makes r - e non-negative, and r - e must miss the holes:
-        max m < d-1: the one hole m has total d, so d + m_q + 1 at t = 2;
-        max m = d (at p): r - e needs mass t-1 off p and has at least
-          r_q - d there, so d + t - 1;
-        max m = d-1 (d-1 at p, 1 at p'): a hole is 1 at p' and 0 off p and
-          p', so d + 2 for q = p' and d + 1 for the other q (a q with
-          m_q >= d-1 is never tried).
-    Every face avoiding e then extends by e, so b = max over f of
-    T_q[f] + need(s - f).  A cone has zero reduced homology, so h adds
+    Let F be a face avoiding g, with f = |F| vertices (so f <= min(s, N-2)).
+    Its remainder r = h - sum(F) lies in H, has total t*d with t = s - f, and
+    r_q >= h_q - T_q[f] at every q.  F + g is a face when r - g is in H, and
+    that holds once r_q >= need_q(t) at each condition of g.  At t = 0 the
+    need is 1, which r = 0 cannot meet, so no such F exists.  For t >= 1:
+      pure power e = d*e_q:
+        t = 1: d, so r - e = 0;
+        t >= 2: d makes r - e non-negative, and r - e must miss the holes:
+          max m < d-1: the one hole m has total d, so d + m_q + 1 at t = 2;
+          max m = d (at p): r - e needs mass t-1 off p and has at least
+            r_q - d there, so d + t - 1;
+          max m = d-1 (d-1 at p, 1 at p'), m_q < d-1: a hole is 1 at p' and
+            0 off p and p', so d + 2 for q = p' and d + 1 for the other q;
+          max m = d-1, m_q = d-1 (q = p, or either pinch position when
+            d = 2): d.  A hole plus e is again a hole: for d >= 3,
+            (td-1)e_p + e_p' goes to ((t+1)d-1)e_p + e_p', and for d = 2 the
+            parities at p and p' and the zeros elsewhere are unchanged.  So
+            r - e, once non-negative, is no hole because r is none.
+      max m = d (d at p), g = (d-1)e_p + e_q with q != p: the degree-t part
+        of H is H_t = {r : |r| - r_p >= t}.  So r in H_t with r_p >= d-1 and
+        r_q >= 1 gives r - g >= 0 with |r - g| - (r - g)_p >= t - 1, that is
+        r - g in H_(t-1): need_p = d-1 and need_q = 1.  For n = 2,
+        r_q = |r| - r_p >= t >= 1 holds anyway, so only the condition at p
+        is kept.
+    Every face avoiding g then extends by g, so b = max over f of
+    T_q[f] + need_q(s - f).  A cone has zero reduced homology, so h adds
     nothing to the Betti numbers (Bruns-Herzog, JPAA 1997, express them
     through these divisor complexes).
     """
-    d, m, cls = config.d, config.m, config.pinch_class
+    return [[(q, max(T[f] + (need(s - f) if f < s else 1)
+                     for f in range(min(s, len(T) - 1) + 1)))
+             for q, T, need in conditions]
+            for conditions in apexes]
 
-    def need(q: int, t: int) -> int:
-        if t <= 1:
-            return d if t else 1
-        if cls is PinchClass.INTERIOR:
-            return d + m[q] + 1 if t == 2 else d
-        if cls is PinchClass.MAX_D:
-            return d + t - 1
-        return d + 2 if m[q] == 1 else d + 1
 
-    return [(q, max(prefix[f] + need(q, s - f) for f in range(min(s, len(prefix) - 1) + 1)))
-            for q, prefix in apexes]
+def _certified(bounds: list[list[tuple[int, int]]], h: Multidegree) -> bool:
+    """True when some apex of `_apex_bounds` meets all of its bounds at h."""
+    return any(all(h[q] >= b for q, b in pairs) for pairs in bounds)
 
 
 def _profiles_for_degrees(
@@ -197,9 +235,9 @@ def _profiles_for_degrees(
     apexes = _cone_apexes(config)
     work: list[tuple[int, Multidegree, bool]] = []
     for s in degrees:
-        bounds = _apex_bounds(config, apexes, s)
+        bounds = _apex_bounds(apexes, s)
         for h in enumerate_degree(config, s):
-            work.append((s, h, any(h[q] >= b for q, b in bounds)))
+            work.append((s, h, _certified(bounds, h)))
     profiles: dict[Multidegree, HomologyProfile] = {}
     missing: list[Multidegree] = []
     for _, h, certified in work:

@@ -70,7 +70,7 @@ class HomologyCache:
         self._dirty = False
 
     def _key(self, h: Multidegree) -> str:
-        return ",".join(str(c) for c in h.permuted(self._perm))
+        return ",".join(str(h[p]) for p in self._perm)
 
     def _load(self) -> dict[str, HomologyProfile]:
         """The file's valid entries; none if it is unreadable, untagged or

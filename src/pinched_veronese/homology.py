@@ -127,10 +127,10 @@ def reduced_homology(
 
     dim H~_k = (#k-faces) - rank(boundary_k) - rank(boundary_{k+1}); cones are
     recognized and short-circuited to the trivial profile.  A Betti scan does
-    not call this for the elements h whose complex a pure power d*e_q is
-    proved to be an apex of (`betti._apex_bounds`: every face F avoiding it
-    has few enough vertices that h - sum(F) - d*e_q is still in H), so the
-    cones met here are the ones that certificate misses.  `window = (lo, hi)`
+    not call this for the elements h whose complex a generator g is proved
+    to be an apex of (`betti._apex_bounds`: every face F avoiding g leaves
+    enough of h that h - sum(F) - g is still in H), so the cones met here
+    are the ones that certificate misses.  `window = (lo, hi)`
     computes only the degrees lo..hi (the rest read 0) and needs only the
     faces of dimension lo-1..hi+1, so it is safe on a skeleton built with a
     size cap of at least hi+2.  The ranks come from one top-down reduction

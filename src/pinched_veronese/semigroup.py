@@ -235,12 +235,10 @@ def enumerate_degree(config: PinchConfig, t: int) -> list[Multidegree]:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return [Multidegree((0,) * config.n)]
-    out = []
-    for c in _compositions_desc(t * config.d, config.n):
-        h = Multidegree(c)
-        if is_member_closed(h, config):
-            out.append(h)
-    return out
+    hole = _hole_test(config)
+    # compositions are tuples of non-negative ints already: skip re-validation
+    return [tuple.__new__(Multidegree, c)
+            for c in _compositions_desc(t * config.d, config.n) if not hole(c)]
 
 
 class NormalityCounterexample(NamedTuple):

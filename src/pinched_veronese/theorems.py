@@ -26,6 +26,7 @@ from .betti import (
     graded_betti,
     witness_non_cm,
 )
+from .errors import ResourceLimitExceeded
 from .linalg import DEFAULT_FIELD, FieldSpec
 from .semigroup import PinchClass, PinchConfig, normality_probe
 from .series import k_polynomial_check
@@ -383,11 +384,18 @@ def _verify_general(
 ) -> VerificationReport:
     report = VerificationReport(config=config, field=field)
     if _expected_cm(config):
-        probe = normality_probe(config, degree_bound=6, multiplier_bound=4)
+        degree_bound, multiplier_bound = 6, 4
+        # the probe scans at most every lattice point of total t*d, t <= degree_bound
+        cost = sum(comb(t * config.d + config.n - 1, config.n - 1)
+                   for t in range(1, degree_bound + 1))
+        if cost > budget:
+            raise ResourceLimitExceeded(cost, budget)
+        probe = normality_probe(config, degree_bound, multiplier_bound)
         report.checks.append(
             Check(
                 label="normality-probe",
-                detail="bounded search for a non-normality witness (t <= 6, mult <= 4)",
+                detail="bounded search for a non-normality witness "
+                       f"(t <= {degree_bound}, mult <= {multiplier_bound})",
                 passed=(probe is None),
                 expected=None,
                 actual=probe,

@@ -321,6 +321,13 @@ def test_cli_dualcheck_default_budget_passes_golden_cases(capsys, argv):
     assert main(argv) == 0
 
 
+def test_cli_verify_refuses_the_normality_probe_over_budget(capsys):
+    # the probe of a CM n = 3 class scans 510 lattice points (t <= 6)
+    assert main(["verify", "-n", "3", "-d", "3", "--pinch", "3,0,0", "--budget", "1"]) == 3
+    assert capsys.readouterr().err.startswith("refused: estimated cost 510 ")
+    assert main(["verify", "-n", "3", "-d", "3", "--pinch", "3,0,0", "--budget", "510"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["gens", "-d", "3", "--pinch", "0", "--jobs", "2"],
     ["member", "-d", "3", "--pinch", "0", "--element", "3,3", "--jobs", "2"],

@@ -1,10 +1,11 @@
 """The cone certificate that lets a Betti scan skip divisor complexes.
 
 `betti._apex_bounds` names, per coarse degree, the elements h whose divisor
-complex has a pure power d*e_q as an apex.  The scan never builds those
-complexes; these tests build them anyway and check that each is a cone, pin
-how many the certificate settles, and check that the profile cache neither
-needs nor stores their profiles.
+complex has a generator g as an apex: a pure power d*e_q, or for max m = d
+at p a generator (d-1)*e_p + e_q.  The scan never builds those complexes;
+these tests build them anyway and check that each is a cone, pin how many
+the certificate settles, and check that the profile cache neither needs nor
+stores their profiles.
 """
 
 import json
@@ -22,7 +23,7 @@ from pinched_veronese import (
     enumerate_degree,
     graded_betti,
 )
-from pinched_veronese.betti import _apex_bounds, _cone_apexes, _profiles_for_degrees
+from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes, _profiles_for_degrees
 from pinched_veronese.cache import ENGINE
 from test_cli_golden import DATA as GOLDEN, run
 
@@ -36,8 +37,8 @@ def cfg(n, d, m):
 
 
 def certified(config, s):
-    bounds = _apex_bounds(config, _cone_apexes(config), s)
-    return [h for h in enumerate_degree(config, s) if any(h[q] >= b for q, b in bounds)]
+    bounds = _apex_bounds(_cone_apexes(config), s)
+    return [h for h in enumerate_degree(config, s) if _certified(bounds, h)]
 
 
 def certified_in_scan(config, s_max):
@@ -58,9 +59,9 @@ def assert_certified_are_cones(config, s_max):
 def test_certified_elements_are_cones_two_vars(d):
     for i in range(d + 1):
         config = PinchConfig.from_pinch_index(d, i)
-        count = assert_certified_are_cones(config, config.N + 1)
-        # the rule is not vacuous: only the d = 2 max=d-1 class has no apex to try
-        assert count > 0 or (d, i) == (2, 1)
+        # the rule is not vacuous: every class has an apex to try, d = 2
+        # max=d-1 the pure powers at its two pinch positions
+        assert assert_certified_are_cones(config, config.N + 1) > 0
 
 
 @pytest.mark.parametrize("n, d, m, s_max", [
@@ -68,22 +69,32 @@ def test_certified_elements_are_cones_two_vars(d):
     (3, 3, (2, 1, 0), 11),
     (3, 3, (1, 1, 1), 11),
     (3, 3, (0, 2, 1), 11),  # a permuted max=d-1 pinch
-    (3, 2, (1, 1, 0), 6),   # d = 2 max=d-1: only the apex off both pinch positions
+    (3, 3, (0, 3, 0), 11),  # a permuted max=d pinch
+    (3, 2, (1, 1, 0), 6),   # d = 2 max=d-1: a pure power apex at every position
     (3, 2, (0, 0, 2), 6),
+    (3, 4, (3, 1, 0), 6),
+    (4, 2, (2, 0, 0, 0), 6),
+    (4, 2, (1, 1, 0, 0), 6),
 ])
 def test_certified_elements_are_cones_three_vars(n, d, m, s_max):
     assert assert_certified_are_cones(cfg(n, d, m), s_max) > 0
 
 
-@pytest.mark.parametrize("i", [4, 5])
-def test_certified_count_at_d9(i):
-    config = PinchConfig.from_pinch_index(9, i)
+# over s <= N+1; at d = 8, i = 0 (max=d) and i = 1 (max=d-1), the pure-power
+# apexes of the first-cut rule certified 171 each; the interior d = 9 rule
+# tries only pure powers
+@pytest.mark.parametrize("d, i, cones, certified_cones", [
+    (8, 0, 324, 318),
+    (8, 1, 368, 356),
+    (9, 4, 449, 439),
+    (9, 5, 449, 439),
+])
+def test_certified_count(d, i, cones, certified_cones):
+    config = PinchConfig.from_pinch_index(d, i)
     table = graded_betti(config)
-    cones = sum(build_divisor_complex(h, config).is_cone()
-                for s in range(table.s_max + 1) for h in enumerate_degree(config, s))
-    assert cones == 449
-    assert table.certified_cones == len(certified_in_scan(config, table.s_max)) == 439
-    assert 378 <= table.certified_cones <= cones
+    assert cones == sum(build_divisor_complex(h, config).is_cone()
+                        for s in range(table.s_max + 1) for h in enumerate_degree(config, s))
+    assert table.certified_cones == len(certified_in_scan(config, table.s_max)) == certified_cones
 
 
 def test_certified_count_stays_out_of_json():

@@ -185,6 +185,20 @@ def test_enumerate_degree_examples():
     assert len(enumerate_degree(cfg(2, 3, (3, 0)), 2)) == 5
 
 
+@pytest.mark.parametrize("n, d, t_max", [(2, 2, 6), (2, 3, 5), (2, 4, 4), (2, 5, 3),
+                                         (3, 2, 4), (3, 3, 3)])
+def test_enumerate_degree_matches_bruteforce_on_every_pinch(n, d, t_max):
+    # every pinch of every class, so d = 2 max=d-1 (the parity holes) too
+    for m in compositions(d, n):
+        config = cfg(n, d, m)
+        for t in range(t_max + 1):
+            expected = [Multidegree(c) for c in sorted(compositions(t * d, n), reverse=True)
+                        if is_member_bruteforce(c, config)]
+            got = enumerate_degree(config, t)
+            assert got == expected, (config, t)
+            assert all(type(h) is Multidegree for h in got)
+
+
 def test_enumerate_degree_sorted_descending():
     out = enumerate_degree(cfg(2, 4, (2, 2)), 3)
     assert out == sorted(out, reverse=True)
