@@ -5,14 +5,24 @@ h - sum(F) still in the semigroup.  A face is stored as an int bitmask over
 vertex labels (bit v set when v is in the face); a complex keeps its faces
 grouped by size, each group in lexicographic order of the sorted vertex
 tuples, and always includes the empty face (mask 0) when it is non-void.
+
+Every complex on a ground set is a subset of that set's subsets, so those
+are tabled once, size by size and only up to the largest size asked for, in
+bounded memos: `_subsets` (the masks in that order and their positions),
+`_boundary_rows` (each subset's read-only boundary row over the positions
+one size down, which `homology.boundary_matrix` returns) and, for a
+generator set, `_sum_classes` (which subsets have the same generator sum).
+A divisor complex tests h - v once per distinct sum v and keeps, level by
+level, the subsets whose sum passed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
-from functools import reduce
-from itertools import chain, combinations
-from operator import and_, or_, sub
+from functools import lru_cache, reduce
+from itertools import chain, combinations, compress
+from operator import add, and_, or_, sub
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional
 
 from .semigroup import (
@@ -172,80 +182,102 @@ class SimplicialComplex:
         )
 
 
-def _grow_complex(
-    h: Multidegree,
-    gens,
-    is_hole: Callable[[tuple[int, ...]], bool],
-    allowed: Optional[Iterable[int]] = None,
-    size_cap: Optional[int] = None,
-) -> tuple[tuple[int, ...], ...]:
-    """Levels of {F : h - sum(F) in H}, for h in H; at most `size_cap` vertices a face.
+@lru_cache(maxsize=64)
+def _subsets(ground: tuple[int, ...], f: int) -> tuple[tuple[int, ...], MappingProxyType]:
+    """The masks of the f-subsets of ground in lexicographic order of their
+    sorted vertex tuples, and each mask's position there (bounded memo)."""
+    masks = tuple(map(sum, combinations([1 << v for v in ground], f)))
+    return masks, MappingProxyType(dict(zip(masks, range(len(masks)))))
 
-    Every remainder has a total that is a multiple of d, so it is in H exactly
-    when it is non-negative and not a hole.  ext[f] masks the vertices u above
-    max(f) with f + u a face; f + u can be a face only if u is in ext[f - w]
-    for every w in f (downward closure) and gens[u] fits under f's remainder.
+
+@lru_cache(maxsize=64)
+def _boundary_rows(ground: tuple[int, ...], f: int) -> tuple[MappingProxyType, ...]:
+    """The boundary row of each f-subset of ground, in `_subsets` order.
+
+    A row is {position of the (f-1)-subset without v: (-1)^j} over the j-th
+    smallest vertices v.  Every complex on this ground shares the rows, so
+    they are read-only.
     """
-    verts = range(len(gens)) if allowed is None else allowed
-    cap = len(gens) if size_cap is None else size_cap
-    gen_of = {1 << v: tuple(gens[v]) for v in verts}
-    # fits[c][x]: the vertices whose generator has c-th coordinate at most x
-    top = max((max(g) for g in gen_of.values()), default=0)
-    fits = [[0] * (top + 1) for _ in h]
-    for b, g in gen_of.items():
-        for row, x in zip(fits, g):
-            row[x] |= b
-    for row in fits:
-        for x in range(top):
-            row[x + 1] |= row[x]
+    below = _subsets(ground, f - 1)[1] if f else {}
+    rows = []
+    for m in _subsets(ground, f)[0]:
+        row = {}
+        sign = 1
+        rest = m
+        while rest:
+            v = rest & -rest
+            row[below[m ^ v]] = sign
+            sign = -sign
+            rest ^= v
+        rows.append(MappingProxyType(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=64)
+def _sum_classes(
+    ground: tuple[int, ...], gens: tuple[tuple[int, ...], ...], f: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """For the f-subsets of ground in `_subsets` order, the id of each one's
+    generator sum, and the distinct sums in id order (bounded memo).
+
+    gens[j] is the generator of ground[j].  A sum is the sum of the subset
+    without its largest vertex plus that vertex's generator.
+    """
+    if f == 0:
+        return (0,), ((0,) * len(gens[0]),)
+    prev_ids, prev_sums = _sum_classes(ground, gens, f - 1)
+    below = _subsets(ground, f - 1)[1]
+    gen_of = {1 << v: g for v, g in zip(ground, gens)}
+    classes: dict[tuple[int, ...], int] = {}
+    ids = []
+    for m in _subsets(ground, f)[0]:
+        top = 1 << (m.bit_length() - 1)
+        v = tuple(map(add, prev_sums[prev_ids[below[m ^ top]]], gen_of[top]))
+        ids.append(classes.setdefault(v, len(classes)))
+    return tuple(ids), tuple(classes)
+
+
+def _divisor_levels(
+    h: tuple[int, ...],
+    ground: tuple[int, ...],
+    gens: tuple[tuple[int, ...], ...],
+    is_hole: Callable[[tuple[int, ...]], bool],
+    size_cap: int,
+) -> tuple[tuple[int, ...], ...]:
+    """Levels of {F in ground : h - sum(F) in H}, for h in H; at most `size_cap` vertices a face.
+
+    `gens` holds the generator of each ground vertex.  Every remainder has a
+    total that is a multiple of d, so it is in H exactly when it is
+    non-negative and not a hole; that is decided once per distinct sum, and
+    each level keeps the subsets whose sum passed.  The complex is downward
+    closed, so the first empty level ends it.
+    """
     levels = [(0,)]
-    ext: dict[int, int] = {}
-    rem = {0: tuple(h)}
-    while len(levels) <= cap:
-        level = levels[-1]
-        next_ext: dict[int, int] = {}
-        next_rem: dict[int, tuple[int, ...]] = {}
-        nxt = []
-        for f in level:
-            rf = rem[f]
-            cand = -(1 << f.bit_length())
-            for fit, x in zip(fits, rf):
-                cand &= fit[x if x < top else top]
-            rest = f
-            while rest and cand:
-                w = rest & -rest
-                cand &= ext[f ^ w]
-                rest ^= w
-            e = 0
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                r = tuple(map(sub, rf, gen_of[b]))
-                if not is_hole(r):
-                    e |= b
-                    g = f | b
-                    nxt.append(g)
-                    next_rem[g] = r
-            next_ext[f] = e
-        if not nxt:
+    for f in range(1, min(size_cap, len(ground)) + 1):
+        ids, sums = _sum_classes(ground, gens, f)
+        ok = [min(r) >= 0 and not is_hole(r) for r in (tuple(map(sub, h, v)) for v in sums)]
+        level = tuple(compress(_subsets(ground, f)[0], map(ok.__getitem__, ids)))
+        if not level:
             break
-        levels.append(tuple(nxt))
-        ext, rem = next_ext, next_rem
+        levels.append(level)
     return tuple(levels)
 
 
 def build_divisor_complex(
     h, config: PinchConfig, size_cap: Optional[int] = None
 ) -> SimplicialComplex:
-    """Divisor complex of h over the pinched generators; void when h is not in H."""
+    """Divisor complex of h over the pinched generators; void when h is not in H.
+
+    A face has at most |h|/d vertices, so no larger subset is looked at.
+    """
     h = Multidegree(h)
     gens = generate_generators(config).gens
-    levels = (
-        _grow_complex(h, gens, _hole_test(config), size_cap=size_cap)
-        if is_member_closed(h, config)
-        else ()
-    )
-    return SimplicialComplex(range(len(gens)), degree=h, levels=levels)
+    ground = tuple(range(len(gens)))
+    levels = ()
+    if is_member_closed(h, config):
+        cap = h.total // config.d if size_cap is None else min(h.total // config.d, size_cap)
+        levels = _divisor_levels(h, ground, gens, _hole_test(config), cap)
+    return SimplicialComplex(ground, degree=h, levels=levels)
 
 
 def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
@@ -263,9 +295,11 @@ def build_veronese_complex(
     """
     h = Multidegree(h)
     gens = veronese_generators(n, d)
-    ground = range(len(gens)) if allowed is None else sorted(allowed)
+    ground = tuple(range(len(gens))) if allowed is None else tuple(sorted(allowed))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = _grow_complex(h, gens, lambda r: False, ground) if h.total % d == 0 else ()
+    levels = (_divisor_levels(h, ground, tuple(gens[v] for v in ground), lambda r: False,
+                              h.total // d)
+              if h.total % d == 0 else ())
     return SimplicialComplex(ground, degree=h, levels=levels)
 
 
@@ -280,9 +314,9 @@ def alexander_dual(
     ground set explicitly to invert (the dual stores it).
 
     The levels are built on masks: the j-vertex subsets G of V come from
-    combinations of V's vertex bits in lexicographic order, and G is a face
-    of the dual when V - G is not a face of c.  The dual is downward closed,
-    so the first empty level ends it.
+    V's subset table in lexicographic order, and G is a face of the dual
+    when V - G is not a face of c.  The dual is downward closed, so the
+    first empty level ends it.
     """
     if c.is_void:
         raise ValueError("the void complex has no Alexander dual")
@@ -291,10 +325,10 @@ def alexander_dual(
     if c._support_mask() & ~full:
         raise ValueError("ground set must contain the vertex support")
     masks = set(chain.from_iterable(c.levels))
-    bits = [1 << v for v in sorted(set(sup))]
+    vertices = tuple(sorted(set(sup)))
     levels = []
-    for j in range(len(bits) + 1):
-        level = tuple(g for g in map(sum, combinations(bits, j)) if full ^ g not in masks)
+    for j in range(len(vertices) + 1):
+        level = tuple(g for g in _subsets(vertices, j)[0] if full ^ g not in masks)
         if not level:
             break
         levels.append(level)
@@ -338,9 +372,10 @@ def decomposition_check(h, d: int, i: int) -> bool:
     m_idx = full_gens.index(m)
 
     unpinched = build_veronese_complex(h, 2, d)
-    allowed = [v for v in range(len(full_gens)) if v != m_idx]
+    allowed = tuple(v for v in range(len(full_gens)) if v != m_idx)
     pinched = set(chain.from_iterable(
-        _grow_complex(h, full_gens, _hole_test(config), allowed)
+        _divisor_levels(h, allowed, tuple(full_gens[v] for v in allowed), _hole_test(config),
+                        h.total // d)
         if is_member_closed(h, config) else ()))
     fat_link = set(chain.from_iterable(link(unpinched, m_idx).levels))
 

@@ -7,9 +7,10 @@ complex of 0 yields the Betti number 1 in homological degree 0.
 
 from __future__ import annotations
 
+from math import comb
 from typing import AbstractSet, Mapping, Optional
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _boundary_rows, _subsets
 from .linalg import DEFAULT_FIELD, FieldSpec, pivot_columns
 
 
@@ -69,48 +70,42 @@ class HomologyProfile:
 
 def boundary_matrix(
     c: SimplicialComplex, k: int, skip: AbstractSet[int] = frozenset()
-) -> tuple[list[dict[int, int]], int]:
+) -> tuple[list[Mapping[int, int]], int]:
     """Sparse matrix of the boundary map from k-chains to (k-1)-chains.
 
-    Row r is {column: +-1} for the r-th k-face in lexicographic order;
-    columns index the (k-1)-faces in the same order.  Removing the j-th
-    smallest vertex has sign (-1)^j, so the matrix is deterministic across
-    runs.  Degree -1 is the span of the empty face.  The rows whose indices
-    are in `skip` are left out, and the others keep their order.
+    Row r is {column: +-1} for the r-th k-face in lexicographic order.  A
+    column, like an entry of `skip`, is a position among the k-subsets (for
+    a row, the (k+1)-subsets) of c.ground in lexicographic order, so the
+    matrix has C(|ground|, k) columns; on a full simplex these are the face
+    indices.  Removing the j-th smallest vertex has sign (-1)^j, so the
+    matrix is deterministic across runs.  Degree -1 is the span of the empty
+    face.  The rows at the positions in `skip` are left out, and the others
+    keep their order.  The rows are `complexes._boundary_rows`' own, shared
+    by every complex on the same ground set, so they are read-only mappings.
     """
-    levels = c.levels
-    upper = levels[k + 1] if 0 <= k + 1 < len(levels) else ()
-    lower = levels[k] if 0 <= k < len(levels) else ()
-    if skip:
-        upper = [f for j, f in enumerate(upper) if j not in skip]
-    index = {f: j for j, f in enumerate(lower)}
-    rows = []
-    for f in upper:
-        row = {}
-        sign = 1
-        rest = f
-        while rest:
-            v = rest & -rest
-            row[index[f ^ v]] = sign
-            sign = -sign
-            rest ^= v
-        rows.append(row)
-    return rows, len(lower)
+    ncols = comb(len(c.ground), k) if k >= 0 else 0
+    if not 0 <= k + 1 < len(c.levels):
+        return [], ncols
+    rows = _boundary_rows(c.ground, k + 1)
+    positions = map(_subsets(c.ground, k + 1)[1].__getitem__, c.levels[k + 1])
+    return [rows[j] for j in positions if j not in skip], ncols
 
 
 def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     """Exact integer check that consecutive boundary maps compose to zero.
 
     The levels are walked upward, so each boundary matrix is built once and
-    serves as the lower map of the next composition.
+    serves as the lower map of the next composition; its rows are looked up
+    by the position of their face, which is what the upper map's columns are.
     """
     lower, _ = boundary_matrix(c, 0)  # vertices -> empty face
     for k in range(1, c.dim + 1):
         upper, _ = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
+        below = dict(zip(map(_subsets(c.ground, k)[1].__getitem__, c.levels[k]), lower))
         for row in upper:
             composed: dict[int, int] = {}
             for j, a in row.items():
-                for t, b in lower[j].items():
+                for t, b in below[j].items():
                     composed[t] = composed.get(t, 0) + a * b
             if any(composed.values()):
                 return False
@@ -134,7 +129,9 @@ def reduced_homology(
     computes only the degrees lo..hi (the rest read 0) and needs only the
     faces of dimension lo-1..hi+1, so it is safe on a skeleton built with a
     size cap of at least hi+2.  The ranks come from one top-down reduction
-    with clearing (`_compute_profile`).
+    with clearing (`_compute_profile`) of the boundary rows that
+    `boundary_matrix` reads from the ground set's subset table; the
+    elimination copies each row it reduces, so the shared rows stay intact.
     """
     if c.is_void:
         return HomologyProfile()

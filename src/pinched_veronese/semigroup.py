@@ -259,12 +259,14 @@ def normality_probe(
     """
     if degree_bound <= 0 or multiplier_bound <= 0:
         raise ValueError("bounds must be positive")
+    # z and its multiples have totals that are positive multiples of d, so
+    # each is in H exactly when it is not a hole
+    hole = _hole_test(config)
     for t in range(1, degree_bound + 1):
-        for c in _compositions_desc(t * config.d, config.n):
-            z = Multidegree(c)
-            if is_member_closed(z, config):
+        for z in _compositions_desc(t * config.d, config.n):
+            if not hole(z):
                 continue
             for mult in range(2, multiplier_bound + 1):
-                if is_member_closed(z.scaled(mult), config):
-                    return NormalityCounterexample(z=z, multiplier=mult)
+                if not hole(tuple(mult * x for x in z)):
+                    return NormalityCounterexample(z=Multidegree(z), multiplier=mult)
     return None

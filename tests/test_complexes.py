@@ -106,6 +106,7 @@ def test_face_membership_matches_definition():
     (2, 2, (2, 0), 6), (2, 2, (1, 1), 6),
     (3, 3, (3, 0, 0), 3), (3, 3, (2, 1, 0), 3), (3, 3, (1, 1, 1), 3),
     (3, 2, (1, 1, 0), 4),
+    (4, 2, (2, 0, 0, 0), 4), (4, 2, (1, 1, 0, 0), 4),
 ])
 def test_faces_match_bruteforce_membership(n, d, m, t_max):
     # every h of degree t*d, members or not, against {F : h - sum(F) in H}
@@ -132,8 +133,11 @@ def test_faces_match_bruteforce_membership(n, d, m, t_max):
             assert c.is_void == (not expected)
 
 
-def test_size_cap_gives_the_skeleton():
-    config = cfg(2, 6, (2, 4))
+@pytest.mark.parametrize("n, d, m", [(2, 6, (2, 4)), (2, 6, (6, 0)), (2, 6, (5, 1)),
+                                     (3, 3, (1, 1, 1))])
+def test_size_cap_gives_the_skeleton(n, d, m):
+    # one configuration per pinch class, and the n=3 interior one
+    config = cfg(n, d, m)
     for h in enumerate_degree(config, 4):
         full = build_divisor_complex(h, config)
         for cap in range(0, 5):
@@ -231,6 +235,68 @@ def test_veronese_complex_matches_unpinched_membership():
     c.validate()
     assert c.ground == tuple(range(5))
     assert c.has_face(())
+
+
+@pytest.mark.parametrize("n, d, h, allowed", [
+    (2, 4, (5, 7), {0, 2, 3}), (2, 5, (7, 8), {1, 2, 4, 5}), (3, 2, (2, 3, 1), {0, 2, 3, 5}),
+])
+def test_veronese_complex_on_a_strict_vertex_subset(n, d, h, allowed):
+    # every non-negative vector of total t*d is in the Veronese semigroup, so
+    # F is a face exactly when F avoids the excluded vertices and sum(F) <= h
+    gens = veronese_generators(n, d)
+    c = build_veronese_complex(Multidegree(h), n, d, allowed=allowed)
+    c.validate()
+    assert c.ground == tuple(sorted(allowed)) and len(allowed) < len(gens)
+    expected = {F(*sub) for k in range(len(allowed) + 1)
+                for sub in itertools.combinations(sorted(allowed), k)
+                if all(sum(gens[v][j] for v in sub) <= h[j] for j in range(n))}
+    assert c.faces == expected
+    full = build_veronese_complex(Multidegree(h), n, d)
+    assert c.faces == {f for f in full.faces if f <= allowed}
+
+
+# -- the shared subset tables -------------------------------------------------
+
+
+def test_tables_hold_no_subset_size_above_the_degree():
+    # every memo entry is one subset size of this one ground set
+    from pinched_veronese import complexes, reduced_homology
+
+    memos = (complexes._subsets, complexes._boundary_rows, complexes._sum_classes)
+    for memo in memos:
+        memo.cache_clear()
+    config = cfg(2, 8, (3, 5))
+    for s in (1, 3, 5):
+        for h in enumerate_degree(config, s):
+            reduced_homology(build_divisor_complex(h, config))
+        assert all(memo.cache_info().currsize <= s + 1 for memo in memos), s
+    assert complexes._subsets.cache_info().currsize == 6  # sizes 0..5 were asked for
+
+
+def test_profiles_do_not_depend_on_other_tables():
+    # the same levels and profiles before and after other configurations
+    # (sharing the ground set, or not) have built their tables, and again
+    # once every table is rebuilt from an empty memo
+    from pinched_veronese import complexes, reduced_homology
+
+    config = cfg(2, 6, (2, 4))
+    hs = enumerate_degree(config, 4)
+
+    def profiles():
+        return [(build_divisor_complex(h, config).levels,
+                 reduced_homology(build_divisor_complex(h, config))) for h in hs]
+
+    for memo in (complexes._subsets, complexes._boundary_rows, complexes._sum_classes):
+        memo.cache_clear()
+    before = profiles()
+    for other in (cfg(2, 6, (6, 0)), cfg(2, 6, (5, 1)), cfg(2, 7, (3, 4)),
+                  cfg(3, 3, (2, 1, 0)), cfg(2, 5, (2, 3)), cfg(2, 4, (2, 2))):
+        for h in enumerate_degree(other, 4):
+            reduced_homology(build_divisor_complex(h, other))
+    assert profiles() == before
+    for memo in (complexes._subsets, complexes._boundary_rows, complexes._sum_classes):
+        memo.cache_clear()
+    assert profiles() == before
 
 
 # -- randomized structure checks --------------------------------------------

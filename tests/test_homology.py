@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -245,12 +246,26 @@ def test_boundary_square_catches_one_flipped_sign(monkeypatch):
             for j in row:
                 def flipped(c, kk, r=r, j=j, k=k, **kw):
                     rows, ncols = original(c, kk, **kw)
-                    if kk == k:
-                        rows[r][j] = -rows[r][j]
+                    if kk == k:  # flip a copy: the returned rows are shared
+                        rows[r] = {**rows[r], j: -rows[r][j]}
                     return rows, ncols
 
                 monkeypatch.setattr(homology, "boundary_matrix", flipped)
                 assert not boundary_square_is_zero(c), (k, r, j)
+    monkeypatch.undo()
+    assert boundary_square_is_zero(c)  # the shared rows were not touched
+
+
+def test_boundary_rows_are_read_only():
+    config = PinchConfig(2, 5, Multidegree((2, 3)))
+    c = build_divisor_complex(Multidegree((10, 5)), config)
+    rows, _ = boundary_matrix(c, 1)
+    assert rows
+    with pytest.raises(TypeError):
+        rows[0][0] = 7
+    with pytest.raises(TypeError):
+        del rows[0][next(iter(rows[0]))]
+    assert boundary_matrix(c, 1)[0] == rows
 
 
 def test_boundary_matrix_skips_rows_in_order():
@@ -273,8 +288,6 @@ def test_euler_characteristic_on_divisor_complexes():
 
 
 def from_facets(facets):
-    import itertools
-
     faces = {frozenset()}
     for mx in facets:
         for k in range(1, len(mx) + 1):
@@ -351,21 +364,33 @@ def test_reduced_homology_matches_dense_oracle(c):
         assert reduced_homology(c, field) == HomologyProfile(expected), p
 
 
+def ground_positions(c, size):
+    """The positions of c's faces with `size` vertices, in lexicographic order,
+    among the size-subsets of c.ground, and the number of those subsets."""
+    faces = sorted(tuple(sorted(f)) for f in c.faces if len(f) == size)
+    position = {f: j for j, f in enumerate(itertools.combinations(c.ground, size))}
+    return [position[f] for f in faces], len(position)
+
+
 @given(downward_closed_complexes())
 @settings(max_examples=60, deadline=None)
 def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
+    # the dense oracle's column j is the j-th k-face; boundary_matrix's
+    # columns are positions among the k-subsets of the ground set
     for k in range(0, c.dim + 2):
         rows, ncols = boundary_matrix(c, k)
-        dense, dense_ncols = dense_boundary(c, k)
-        assert ncols == dense_ncols
-        assert rows == [{j: a for j, a in enumerate(row) if a} for row in dense]
+        dense, _ = dense_boundary(c, k)
+        columns, width = ground_positions(c, k)
+        assert ncols == width
+        assert rows == [{columns[j]: a for j, a in enumerate(row) if a} for row in dense]
     for k in range(1, c.dim + 1):
         upper, _ = boundary_matrix(c, k)
         lower, _ = boundary_matrix(c, k - 1)
+        below = dict(zip(ground_positions(c, k)[0], lower))
         for row in upper:
             composed = {}
             for j, a in row.items():
-                for t, b in lower[j].items():
+                for t, b in below[j].items():
                     composed[t] = composed.get(t, 0) + a * b
             assert not any(composed.values())
     assert boundary_square_is_zero(c)

@@ -282,3 +282,26 @@ def test_normality_probe_max_d_minus_1_counterexample():
 def test_normality_probe_bad_bounds():
     with pytest.raises(ValueError):
         normality_probe(cfg(2, 4, (4, 0)), 0, 4)
+
+
+def probe_by_bruteforce(config, degree_bound, multiplier_bound):
+    """The probe's definition, scanned with the dynamic-programming oracle."""
+    for t in range(1, degree_bound + 1):
+        for z in sorted(compositions(t * config.d, config.n), reverse=True):
+            z = Multidegree(z)
+            if is_member_bruteforce(z, config):
+                continue
+            for mult in range(2, multiplier_bound + 1):
+                if is_member_bruteforce(z.scaled(mult), config):
+                    return NormalityCounterexample(z, mult)
+    return None
+
+
+@pytest.mark.parametrize("n, d, m", [
+    (n, d, m) for n in (2, 3) for d in (2, 3, 4)
+    for m in compositions(d, n) if list(m) == sorted(m, reverse=True)
+])
+def test_normality_probe_matches_bruteforce_scan(n, d, m):
+    # mult * t <= 8 keeps every multiple under the oracle's default cap of 8d
+    config = cfg(n, d, m)
+    assert normality_probe(config, 2, 4) == probe_by_bruteforce(config, 2, 4)
