@@ -8,12 +8,10 @@ tuples, and always includes the empty face (mask 0) when it is non-void.
 
 Every complex on a ground set is a subset of that set's subsets, so those
 are tabled once, size by size and only up to the largest size asked for, in
-bounded memos: `_subsets` (the masks in that order and their positions),
-`_boundary_rows` (each subset's read-only boundary row over the positions
-one size down, which `homology.boundary_matrix` returns) and, for a
-generator set, `_sum_classes` (which subsets have the same generator sum).
-A divisor complex tests h - v once per distinct sum v and keeps, level by
-level, the subsets whose sum passed.
+bounded memos: `_subsets` (the masks in that order and their positions)
+and, for a generator set, `_sum_classes` (which subsets have the same
+generator sum).  A divisor complex tests h - v once per distinct sum v and
+keeps, level by level, the subsets whose sum passed.
 """
 
 from __future__ import annotations
@@ -191,29 +189,6 @@ def _subsets(ground: tuple[int, ...], f: int) -> tuple[tuple[int, ...], MappingP
 
 
 @lru_cache(maxsize=64)
-def _boundary_rows(ground: tuple[int, ...], f: int) -> tuple[MappingProxyType, ...]:
-    """The boundary row of each f-subset of ground, in `_subsets` order.
-
-    A row is {position of the (f-1)-subset without v: (-1)^j} over the j-th
-    smallest vertices v.  Every complex on this ground shares the rows, so
-    they are read-only.
-    """
-    below = _subsets(ground, f - 1)[1] if f else {}
-    rows = []
-    for m in _subsets(ground, f)[0]:
-        row = {}
-        sign = 1
-        rest = m
-        while rest:
-            v = rest & -rest
-            row[below[m ^ v]] = sign
-            sign = -sign
-            rest ^= v
-        rows.append(MappingProxyType(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=64)
 def _sum_classes(
     ground: tuple[int, ...], gens: tuple[tuple[int, ...], ...], f: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -357,7 +332,9 @@ def decomposition_check(h, d: int, i: int) -> bool:
     For the interior pinch (i, d-i), the unpinched complex of h must equal the
     union of the pinched complex and the fat link at the pinched vertex; and
     when |h| = i*d, every face of their intersection must have dimension
-    < i-2.  Both complexes are overlaid on the unpinched vertex labeling.
+    < i-2.  Both are filtered from the one Veronese subset table; the masks
+    that avoid the pinched vertex are downward closed, so the first empty
+    level ends them too.
     """
     h = Multidegree(h)
     if len(h) != 2:
@@ -368,17 +345,13 @@ def decomposition_check(h, d: int, i: int) -> bool:
     if h.total % d != 0:
         raise ValueError(f"|h| = {h.total} is not a multiple of d = {d}")
     config = PinchConfig(2, d, m)
-    full_gens = veronese_generators(2, d)
-    m_idx = full_gens.index(m)
-
-    unpinched = build_veronese_complex(h, 2, d)
-    allowed = tuple(v for v in range(len(full_gens)) if v != m_idx)
-    pinched = set(chain.from_iterable(
-        _divisor_levels(h, allowed, tuple(full_gens[v] for v in allowed), _hole_test(config),
-                        h.total // d)
-        if is_member_closed(h, config) else ()))
-    fat_link = set(chain.from_iterable(link(unpinched, m_idx).levels))
-
-    if set(chain.from_iterable(unpinched.levels)) != pinched | fat_link:
+    gens = veronese_generators(2, d)
+    ground, pin, cap = tuple(range(len(gens))), 1 << gens.index(m), h.total // d
+    unpinched = set(chain.from_iterable(_divisor_levels(h, ground, gens, lambda r: False, cap)))
+    pinched = {f for f in chain.from_iterable(
+        _divisor_levels(h, ground, gens, _hole_test(config), cap))
+        if not f & pin} if is_member_closed(h, config) else set()
+    fat_link = {f for f in unpinched if f | pin in unpinched}
+    if unpinched != pinched | fat_link:
         return False
     return h.total != i * d or all(f.bit_count() - 1 < i - 2 for f in pinched & fat_link)

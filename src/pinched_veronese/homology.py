@@ -2,15 +2,17 @@
 
 The augmented chain complex includes the empty face in degree -1, so the
 complex {[]} has one-dimensional homology in degree -1 and the divisor
-complex of 0 yields the Betti number 1 in homological degree 0.
+complex of 0 yields the Betti number 1 in homological degree 0.  Profiles
+come from the excision pair of one vertex, with boundary rows built per cell.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import AbstractSet, Mapping, Optional
+from functools import reduce
+from operator import or_
+from typing import AbstractSet, Mapping, Optional, Sequence
 
-from .complexes import SimplicialComplex, _boundary_rows, _subsets
+from .complexes import SimplicialComplex
 from .linalg import DEFAULT_FIELD, FieldSpec, pivot_columns
 
 
@@ -69,43 +71,49 @@ class HomologyProfile:
 
 
 def boundary_matrix(
-    c: SimplicialComplex, k: int, skip: AbstractSet[int] = frozenset()
-) -> tuple[list[Mapping[int, int]], int]:
-    """Sparse matrix of the boundary map from k-chains to (k-1)-chains.
+    c: SimplicialComplex | Sequence[Sequence[int]], k: int, skip: AbstractSet[int] = frozenset()
+) -> tuple[list[dict[int, int]], int]:
+    """Sparse matrix of the boundary map from k-cells to (k-1)-cells.
 
-    Row r is {column: +-1} for the r-th k-face in lexicographic order.  A
-    column, like an entry of `skip`, is a position among the k-subsets (for
-    a row, the (k+1)-subsets) of c.ground in lexicographic order, so the
-    matrix has C(|ground|, k) columns; on a full simplex these are the face
-    indices.  Removing the j-th smallest vertex has sign (-1)^j, so the
-    matrix is deterministic across runs.  Degree -1 is the span of the empty
-    face.  The rows at the positions in `skip` are left out, and the others
-    keep their order.  The rows are `complexes._boundary_rows`' own, shared
-    by every complex on the same ground set, so they are read-only mappings.
+    c is a complex or the cells of a pair: masks by size in lexicographic
+    order, as `SimplicialComplex.levels`.  Row r, built on demand, is
+    {column: +-1} for the r-th cell with k+1 vertices; column j is the j-th
+    cell one size down, and a face that is not a cell has none, so this is
+    the full boundary of a complex and the relative one of a pair.  Removing
+    the j-th smallest vertex has sign (-1)^j; degree -1 is the span of the
+    empty face.  The rows at the positions in `skip` are left out.
     """
-    ncols = comb(len(c.ground), k) if k >= 0 else 0
-    if not 0 <= k + 1 < len(c.levels):
-        return [], ncols
-    rows = _boundary_rows(c.ground, k + 1)
-    positions = map(_subsets(c.ground, k + 1)[1].__getitem__, c.levels[k + 1])
-    return [rows[j] for j in positions if j not in skip], ncols
+    levels = c.levels if isinstance(c, SimplicialComplex) else c
+    below = {m: j for j, m in enumerate(levels[k])} if 0 <= k < len(levels) else {}
+    if not 0 <= k + 1 < len(levels):
+        return [], len(below)
+    rows = []
+    for r, m in enumerate(levels[k + 1]):
+        if r not in skip:
+            row, sign, rest = {}, 1, m
+            while rest:
+                v = rest & -rest
+                if (j := below.get(m ^ v)) is not None:
+                    row[j] = sign
+                sign, rest = -sign, rest ^ v
+            rows.append(row)
+    return rows, len(below)
 
 
 def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     """Exact integer check that consecutive boundary maps compose to zero.
 
     The levels are walked upward, so each boundary matrix is built once and
-    serves as the lower map of the next composition; its rows are looked up
-    by the position of their face, which is what the upper map's columns are.
+    serves as the lower map of the next composition; its row j is the
+    boundary of the face that the upper map's column j stands for.
     """
     lower, _ = boundary_matrix(c, 0)  # vertices -> empty face
     for k in range(1, c.dim + 1):
         upper, _ = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
-        below = dict(zip(map(_subsets(c.ground, k)[1].__getitem__, c.levels[k]), lower))
         for row in upper:
             composed: dict[int, int] = {}
             for j, a in row.items():
-                for t, b in below[j].items():
+                for t, b in lower[j].items():
                     composed[t] = composed.get(t, 0) + a * b
             if any(composed.values()):
                 return False
@@ -120,54 +128,73 @@ def reduced_homology(
 ) -> HomologyProfile:
     """Reduced homology dimensions of c over the given field.
 
-    dim H~_k = (#k-faces) - rank(boundary_k) - rank(boundary_{k+1}); cones are
-    recognized and short-circuited to the trivial profile.  A Betti scan does
-    not call this for the elements h whose complex a generator g is proved
-    to be an apex of (`betti._apex_bounds`: every face F avoiding g leaves
-    enough of h that h - sum(F) - g is still in H), so the cones met here
-    are the ones that certificate misses.  `window = (lo, hi)`
-    computes only the degrees lo..hi (the rest read 0) and needs only the
-    faces of dimension lo-1..hi+1, so it is safe on a skeleton built with a
-    size cap of at least hi+2.  The ranks come from one top-down reduction
-    with clearing (`_compute_profile`) of the boundary rows that
-    `boundary_matrix` reads from the ground set's subset table; the
-    elimination copies each row it reduces, so the shared rows stay intact.
+    They are read off the excision pair of one vertex (`_compute_profile`);
+    a Betti scan skips the c that `betti._apex_bounds` proves cones.
+    `window = (lo, hi)` computes only the degrees lo..hi (the rest read 0)
+    and needs only the faces of dimension lo-1..hi+1, so it is safe on a
+    skeleton built with a size cap of at least hi+2 (the pair is the
+    skeleton's own).
     """
     if c.is_void:
         return HomologyProfile()
     return _compute_profile(c, field, window)
 
 
+def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) -> list:
+    """The cells of the pair (del_v, lk_v) by size: the faces F with F + v not a face.
+
+    v defaults to the vertex in the most faces of the top size, the smallest
+    on ties.  A face with v is never a cell; one without v is, unless it is
+    in the link {G - v : G a face with v} taken one size up.
+    """
+    if v is None:
+        top = levels[-1]
+        v = max(range(reduce(or_, top).bit_length()),
+                key=lambda u: sum(1 for f in top if f >> u & 1), default=0)
+    b = 1 << v
+    cells = []
+    for f, level in enumerate(levels):
+        up = {g ^ b for g in levels[f + 1] if g & b} if f + 1 < len(levels) else ()
+        cells.append(tuple(m for m in level if not m & b and m not in up))
+    return cells
+
+
 def _compute_profile(
     c: SimplicialComplex, field: FieldSpec, window: Optional[tuple[int, int]] = None
 ) -> HomologyProfile:
-    """Profile from the boundary ranks, reduced from the top degree down with clearing.
+    """Profile of the pair of `_excision_cells`, reduced top down with clearing.
 
-    The highest boundary map the window needs is reduced in full.  Its pivot
-    columns are k-faces that lead a reduced row; such a row is a cycle, so
-    the boundary of its leading k-face lies in the span of the boundaries of
-    smaller k-faces, and by induction over the k-faces the other rows of
-    boundary_k span its whole row space.  So boundary_k is built without
-    those rows, and its rank is unchanged over every field
-    (Chen-Kerber, "Persistent homology computation with a twist", EuroCG
-    2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  A plain
-    elimination of boundary_k reduces rank(boundary_{k+1}) + dim H~_k rows
-    to zero; after clearing only dim H~_k are left.  Only the set of pivot
-    indices is carried from one level to the next.
+    For a vertex v of c, the star st = {F : F + v in c} is a cone, so its
+    augmented chains are acyclic and the sequence of the pair gives
+    H~_k(c) = H_k(c, st) = H_k(del_v c, lk_v c) by excision (Forman, Adv.
+    Math. 1998; Jonsson, LNM 1928, 2008).  st is closed under taking faces,
+    so the quotient boundary of a cell, a face outside st, is its boundary
+    restricted to the cells.  If v is in no face, st is empty.  There are
+    |c| - 2 * #{faces with v} cells, none exactly when v is an apex.
+
+    The top boundary map the window needs is reduced in full.  A pivot
+    column of it is a k-cell that leads a reduced row, which is a cycle, so
+    that cell's boundary lies in the span of those of smaller k-cells; by
+    induction boundary_k keeps its rank without the pivot cells' rows.  This
+    needs only boundary_k * boundary_{k+1} = 0 and unit leading entries, so
+    it holds for the pair over every field (Chen-Kerber, EuroCG 2011;
+    Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Then
+    dim H~_k = #(cells with k+1 vertices) - rank_k - rank_{k+1}.
     """
-    if c.is_cone():
+    cells = _excision_cells(c.levels)
+    if not any(cells):
         return HomologyProfile()
     top = c.dim
     lo, hi = (-1, top) if window is None else (window[0], min(window[1], top))
     ranks = {}
     cleared: set[int] = set()
     for k in range(min(hi + 1, top), max(lo, 0) - 1, -1):
-        rows, ncols = boundary_matrix(c, k, skip=cleared)
+        rows, ncols = boundary_matrix(cells, k, skip=cleared)
         cleared = pivot_columns(rows, ncols, field)
         del rows
         ranks[k] = len(cleared)
     return HomologyProfile({
-        k: len(c.levels[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(max(lo, -1), hi + 1)
     })
 

@@ -13,6 +13,7 @@ from pinched_veronese import (
     decomposition_check,
     enumerate_degree,
     generate_generators,
+    is_member_closed,
     link,
     veronese_generators,
 )
@@ -221,6 +222,41 @@ def test_decomposition_d6_i3():
         assert decomposition_check(Multidegree(h), 6, 3), h
 
 
+def decomposition_by_subsets(h, d, i, sums):
+    """Reference decomposition check: every subset F of the Veronese generators
+    on its own; `sums` maps F to its generator sum."""
+    config = cfg(2, d, (i, d - i))
+    pin = veronese_generators(2, d).index(config.m)
+    rest = {f: (h[0] - x, h[1] - y) for f, (x, y) in sums.items()}
+    unpinched = {f for f, r in rest.items() if min(r) >= 0}
+    pinched = {f for f in unpinched if pin not in f and is_member_closed(rest[f], config)}
+    fat_link = {f for f in unpinched if f | {pin} in unpinched}
+    return unpinched == pinched | fat_link and (
+        h.total != i * d or all(len(f) - 1 < i - 2 for f in pinched & fat_link))
+
+
+@pytest.mark.parametrize("d", range(4, 8))
+def test_decomposition_matches_subset_by_subset_reference(d):
+    # every h with |h| <= (N+1)d, N = d+1 generators, of each interior pinch
+    gens = veronese_generators(2, d)
+    sums = {F(*f): tuple(map(sum, zip((0, 0), *(gens[v] for v in f))))
+            for k in range(len(gens) + 1) for f in itertools.combinations(range(len(gens)), k)}
+    for i in range(2, d - 1):
+        for t in range(d + 3):
+            for a in range(t * d + 1):
+                h = Multidegree((a, t * d - a))
+                assert decomposition_check(h, d, i) == decomposition_by_subsets(h, d, i, sums)
+
+
+def test_decomposition_fails_on_a_wrong_pinched_complex(monkeypatch):
+    # with every remainder a hole the pinched complex is {empty face}, and
+    # the union misses the faces away from the pinched vertex
+    from pinched_veronese import complexes
+
+    monkeypatch.setattr(complexes, "_hole_test", lambda config: lambda r: True)
+    assert not decomposition_check(Multidegree((10, 10)), 5, 2)
+
+
 def test_decomposition_preconditions():
     with pytest.raises(ValueError):
         decomposition_check(Multidegree((5, 5)), 5, 1)  # not interior
@@ -262,7 +298,7 @@ def test_tables_hold_no_subset_size_above_the_degree():
     # every memo entry is one subset size of this one ground set
     from pinched_veronese import complexes, reduced_homology
 
-    memos = (complexes._subsets, complexes._boundary_rows, complexes._sum_classes)
+    memos = (complexes._subsets, complexes._sum_classes)
     for memo in memos:
         memo.cache_clear()
     config = cfg(2, 8, (3, 5))
@@ -286,7 +322,7 @@ def test_profiles_do_not_depend_on_other_tables():
         return [(build_divisor_complex(h, config).levels,
                  reduced_homology(build_divisor_complex(h, config))) for h in hs]
 
-    for memo in (complexes._subsets, complexes._boundary_rows, complexes._sum_classes):
+    for memo in (complexes._subsets, complexes._sum_classes):
         memo.cache_clear()
     before = profiles()
     for other in (cfg(2, 6, (6, 0)), cfg(2, 6, (5, 1)), cfg(2, 7, (3, 4)),
@@ -294,7 +330,7 @@ def test_profiles_do_not_depend_on_other_tables():
         for h in enumerate_degree(other, 4):
             reduced_homology(build_divisor_complex(h, other))
     assert profiles() == before
-    for memo in (complexes._subsets, complexes._boundary_rows, complexes._sum_classes):
+    for memo in (complexes._subsets, complexes._sum_classes):
         memo.cache_clear()
     assert profiles() == before
 

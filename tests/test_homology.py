@@ -19,7 +19,10 @@ from pinched_veronese import (
     euler_characteristic_matches,
     matrix_rank,
     reduced_homology,
+    witness_non_cm,
 )
+from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes
+from pinched_veronese.homology import _excision_cells
 
 FIELDS = (FieldSpec(32003), GF2, RATIONALS)
 
@@ -218,6 +221,43 @@ def test_cleared_reduction_matches_per_level_ranks():
     assert checked == 845
 
 
+# -- the excision pair against the full complex --------------------------------
+
+
+def uncertified(config, s_max):
+    """The elements up to degree s_max that a Betti scan builds: those the
+    cone certificate leaves."""
+    apexes = _cone_apexes(config)
+    for s in range(s_max + 1):
+        bounds = _apex_bounds(apexes, s)
+        yield from (h for h in enumerate_degree(config, s) if not _certified(bounds, h))
+
+
+@pytest.mark.parametrize("m, count", [((3, 0, 0), 420), ((2, 1, 0), 237), ((1, 1, 1), 362)])
+def test_pair_profiles_match_per_level_ranks_n3(m, count):
+    config = PinchConfig(3, 3, Multidegree(m))
+    hs = list(uncertified(config, 8))
+    assert len(hs) == count
+    for h in hs:
+        c = build_divisor_complex(h, config)
+        for field in (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS):
+            assert reduced_homology(c, field) == per_level_profile(c, field), (h, field)
+
+
+@pytest.mark.parametrize("n, d, m", [(2, 5, (2, 3)), (2, 6, (2, 4)), (2, 6, (3, 3)),
+                                     (2, 7, (2, 5)), (2, 7, (3, 4)), (3, 3, (2, 1, 0))])
+def test_windowed_homology_on_skeletons(n, d, m):
+    # the witness scan builds only the (k+1)-skeleton; its pair gives degree k
+    config = PinchConfig(n, d, Multidegree(m))
+    w = witness_non_cm(config)
+    full = reduced_homology(build_divisor_complex(w.h, config))
+    assert full[w.index - 1] == w.dimension > 0
+    for k in range(-1, build_divisor_complex(w.h, config).dim + 1):
+        skeleton = build_divisor_complex(w.h, config, size_cap=k + 2)
+        assert reduced_homology(skeleton, window=(k, k)).items() == (
+            [(k, full[k])] if full[k] else []), k
+
+
 def test_boundary_square_zero_on_divisor_complexes():
     config = PinchConfig(2, 6, Multidegree((2, 4)))
     for t in range(1, 5):
@@ -246,26 +286,26 @@ def test_boundary_square_catches_one_flipped_sign(monkeypatch):
             for j in row:
                 def flipped(c, kk, r=r, j=j, k=k, **kw):
                     rows, ncols = original(c, kk, **kw)
-                    if kk == k:  # flip a copy: the returned rows are shared
-                        rows[r] = {**rows[r], j: -rows[r][j]}
+                    if kk == k:
+                        rows[r][j] = -rows[r][j]
                     return rows, ncols
 
                 monkeypatch.setattr(homology, "boundary_matrix", flipped)
                 assert not boundary_square_is_zero(c), (k, r, j)
     monkeypatch.undo()
-    assert boundary_square_is_zero(c)  # the shared rows were not touched
+    assert boundary_square_is_zero(c)  # the flips did not outlive their call
 
 
-def test_boundary_rows_are_read_only():
+def test_boundary_rows_are_built_per_call():
+    # a caller may change the rows it is given; the next call builds them anew
     config = PinchConfig(2, 5, Multidegree((2, 3)))
     c = build_divisor_complex(Multidegree((10, 5)), config)
     rows, _ = boundary_matrix(c, 1)
     assert rows
-    with pytest.raises(TypeError):
-        rows[0][0] = 7
-    with pytest.raises(TypeError):
-        del rows[0][next(iter(rows[0]))]
-    assert boundary_matrix(c, 1)[0] == rows
+    expected = [dict(row) for row in rows]
+    rows[0][0] = 7
+    del rows[1][next(iter(rows[1]))]
+    assert boundary_matrix(c, 1)[0] == expected
 
 
 def test_boundary_matrix_skips_rows_in_order():
@@ -364,34 +404,51 @@ def test_reduced_homology_matches_dense_oracle(c):
         assert reduced_homology(c, field) == HomologyProfile(expected), p
 
 
-def ground_positions(c, size):
-    """The positions of c's faces with `size` vertices, in lexicographic order,
-    among the size-subsets of c.ground, and the number of those subsets."""
-    faces = sorted(tuple(sorted(f)) for f in c.faces if len(f) == size)
-    position = {f: j for j, f in enumerate(itertools.combinations(c.ground, size))}
-    return [position[f] for f in faces], len(position)
-
-
 @given(downward_closed_complexes())
 @settings(max_examples=60, deadline=None)
 def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
-    # the dense oracle's column j is the j-th k-face; boundary_matrix's
-    # columns are positions among the k-subsets of the ground set
+    # the dense oracle's column j is the j-th k-face, and so is boundary_matrix's
     for k in range(0, c.dim + 2):
         rows, ncols = boundary_matrix(c, k)
-        dense, _ = dense_boundary(c, k)
-        columns, width = ground_positions(c, k)
+        dense, width = dense_boundary(c, k)
         assert ncols == width
-        assert rows == [{columns[j]: a for j, a in enumerate(row) if a} for row in dense]
+        assert rows == [{j: a for j, a in enumerate(row) if a} for row in dense]
     for k in range(1, c.dim + 1):
         upper, _ = boundary_matrix(c, k)
         lower, _ = boundary_matrix(c, k - 1)
-        below = dict(zip(ground_positions(c, k)[0], lower))
         for row in upper:
             composed = {}
             for j, a in row.items():
-                for t, b in below[j].items():
+                for t, b in lower[j].items():
                     composed[t] = composed.get(t, 0) + a * b
             assert not any(composed.values())
     assert boundary_square_is_zero(c)
 
+
+def pair_profile(c, v, field):
+    """Relative homology of the pair at v from each boundary map's rank, nothing cleared."""
+    cells = _excision_cells(c.levels, v)
+    ranks = {k: matrix_rank(*boundary_matrix(cells, k), field) for k in range(0, c.dim + 1)}
+    return HomologyProfile({k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+                            for k in range(-1, c.dim + 1)})
+
+
+@given(downward_closed_complexes())
+@settings(max_examples=60, deadline=None)
+def test_pair_profile_does_not_depend_on_the_vertex(c):
+    facets = [f for f in c.faces if not any(f < g for g in c.faces)]
+    outside = max(c.ground) + 1
+    for field in (GF2, RATIONALS):
+        expected = per_level_profile(c, field)
+        assert reduced_homology(c, field) == expected
+        for v in (*c.ground, outside):
+            assert pair_profile(c, v, field) == expected, (v, field)
+    apexes = set()
+    for v in (*c.ground, outside):
+        cells = _excision_cells(c.levels, v)
+        if v == outside:
+            assert cells == [tuple(level) for level in c.levels]
+        if not any(cells):
+            apexes.add(v)
+    assert apexes == {v for v in c.ground if all(v in f for f in facets)}
+    assert bool(apexes) == c.is_cone()
