@@ -35,7 +35,6 @@ from .homology import (
 )
 from .linalg import DEFAULT_FIELD, GF2, RATIONALS, FieldSpec, matrix_rank
 from .semigroup import (
-    GeneratorSet,
     Multidegree,
     NormalityCounterexample,
     PinchClass,
@@ -78,7 +77,6 @@ __all__ = [
     "ExpectedTable",
     "FieldSpec",
     "GF2",
-    "GeneratorSet",
     "HomologyCache",
     "HomologyProfile",
     "Multidegree",

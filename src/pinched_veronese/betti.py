@@ -142,7 +142,7 @@ def _cone_apexes(config: PinchConfig) -> list[list[_Condition]]:
     that a remainder of total t*d must reach for g to come off it inside H.
     """
     d, m, n, cls = config.d, config.m, config.n, config.pinch_class
-    gens = generate_generators(config).gens
+    gens = generate_generators(config)
 
     def condition(g: tuple[int, ...], q: int, need: Callable[[int], int]) -> _Condition:
         skip = gens.index(g)
@@ -419,7 +419,8 @@ def witness_non_cm(
     the boundary of a simplex on all generators, giving top homology at
     i = N-2.  max(m) = d-1 with n > 2: h = m plus N-n+1 generators avoiding m
     and the pure power at m's top position, giving homology at i = N-n.
-    Much cheaper than a table scan: one complex, one homology degree.
+    Much cheaper than a table scan: one complex, whole, whose cost proxy is
+    `degree_cost(config)`.
     """
     cls = config.pinch_class
     if cls is PinchClass.MAX_D or (cls is PinchClass.MAX_D_MINUS_1 and config.n == 2):
@@ -430,7 +431,9 @@ def witness_non_cm(
         # the degree-2 semigroup misses more than (td-1, 1, 0, ...); the
         # witness construction (and the classification it supports) needs d >= 3
         raise ValueError("the non-CM witness construction requires d >= 3")
-    gens = generate_generators(config)
+    cost = degree_cost(config)
+    if cost > budget:
+        raise ResourceLimitExceeded(cost, budget)
     if cls is PinchClass.INTERIOR:
         h = Multidegree((0,) * config.n)
         for g in veronese_generators(config.n, config.d):
@@ -441,18 +444,14 @@ def witness_non_cm(
         p = config.m.index(config.d - 1)
         top = Multidegree(config.d if j == p else 0 for j in range(config.n))
         avoid = {config.m, top}
+        gens = generate_generators(config)
         chosen = [g for g in gens if g not in avoid][: config.N - config.n + 1]
         h = config.m
         for g in chosen:
             h = h + g
         k = config.N - config.n - 1
         index = config.N - config.n
-    size_cap = k + 2
-    cost = sum(comb(len(gens), j) for j in range(size_cap + 1))
-    if cost > budget:
-        raise ResourceLimitExceeded(cost, budget)
-    complex_ = build_divisor_complex(h, config, size_cap=size_cap)
-    dim = reduced_homology(complex_, field, window=(k, k))[k]
+    dim = reduced_homology(build_divisor_complex(h, config), field)[k]
     if dim <= 0:
         raise ArithmeticError(
             f"witness construction produced trivial homology at degree {k} for {config}"

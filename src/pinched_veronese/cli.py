@@ -68,6 +68,11 @@ def _config_from_args(args) -> PinchConfig:
     return PinchConfig.from_pinch_index(args.d, int(args.pinch))
 
 
+def _require_non_negative(flag: str, value) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{flag} must be non-negative, got {value}")
+
+
 def _cache_for(args, config, field):
     directory = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
@@ -130,6 +135,7 @@ def _cmd_member(args) -> CommandResult:
 
 def _cmd_hilbert(args) -> CommandResult:
     config = _config_from_args(args)
+    _require_non_negative("--expand", args.expand)
     series = hilbert_closed(config)
     num, den = in_z(series.h, config.d), in_z(one_minus_w(series.e), config.d)
     payload = {**_config_fields(config), "numerator": num, "denominator": den}
@@ -240,6 +246,8 @@ def _parse_sweep(spec: str) -> list[PinchConfig]:
         raise ValueError("sweeps are defined for n=2 (pinch indices)")
     if d_lo is None:
         raise ValueError("sweep needs a d range, e.g. d=3..7")
+    if d_lo > d_hi:
+        raise ValueError(f"sweep d range {d_lo}..{d_hi} is empty; write it low..high")
     return [PinchConfig.from_pinch_index(d, i)
             for d in range(d_lo, d_hi + 1) for i in range((d + 1) // 2 + 1)]
 
@@ -291,6 +299,7 @@ def _cmd_canonical(args) -> CommandResult:
 def _cmd_dualcheck(args) -> CommandResult:
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
+    _require_non_negative("--coarse", args.coarse)
     cost = degree_cost(config, None if args.element else args.coarse)
     if cost > args.budget:
         raise ResourceLimitExceeded(cost, args.budget)

@@ -217,18 +217,18 @@ def _divisor_levels(
     ground: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
     is_hole: Callable[[tuple[int, ...]], bool],
-    size_cap: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """Levels of {F in ground : h - sum(F) in H}, for h in H; at most `size_cap` vertices a face.
+    """Levels of {F in ground : h - sum(F) in H}, for h in H.
 
-    `gens` holds the generator of each ground vertex.  Every remainder has a
-    total that is a multiple of d, so it is in H exactly when it is
-    non-negative and not a hole; that is decided once per distinct sum, and
-    each level keeps the subsets whose sum passed.  The complex is downward
-    closed, so the first empty level ends it.
+    `gens` holds the generator of each ground vertex, each of total d, so a
+    face has at most |h|/d vertices and no larger subset is looked at.
+    Every remainder has a total that is a multiple of d, so it is in H
+    exactly when it is non-negative and not a hole; that is decided once per
+    distinct sum, and each level keeps the subsets whose sum passed.  The
+    complex is downward closed, so the first empty level ends it.
     """
     levels = [(0,)]
-    for f in range(1, min(size_cap, len(ground)) + 1):
+    for f in range(1, min(sum(h) // sum(gens[0]), len(ground)) + 1):
         ids, sums = _sum_classes(ground, gens, f)
         ok = [min(r) >= 0 and not is_hole(r) for r in (tuple(map(sub, h, v)) for v in sums)]
         level = tuple(compress(_subsets(ground, f)[0], map(ok.__getitem__, ids)))
@@ -238,20 +238,14 @@ def _divisor_levels(
     return tuple(levels)
 
 
-def build_divisor_complex(
-    h, config: PinchConfig, size_cap: Optional[int] = None
-) -> SimplicialComplex:
-    """Divisor complex of h over the pinched generators; void when h is not in H.
-
-    A face has at most |h|/d vertices, so no larger subset is looked at.
-    """
+def build_divisor_complex(h, config: PinchConfig) -> SimplicialComplex:
+    """Divisor complex of h over the pinched generators; void when h is not in H."""
     h = Multidegree(h)
-    gens = generate_generators(config).gens
+    gens = generate_generators(config)
     ground = tuple(range(len(gens)))
     levels = ()
     if is_member_closed(h, config):
-        cap = h.total // config.d if size_cap is None else min(h.total // config.d, size_cap)
-        levels = _divisor_levels(h, ground, gens, _hole_test(config), cap)
+        levels = _divisor_levels(h, ground, gens, _hole_test(config))
     return SimplicialComplex(ground, degree=h, levels=levels)
 
 
@@ -260,20 +254,16 @@ def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
     return tuple(Multidegree(c) for c in _compositions_desc(d, n))
 
 
-def build_veronese_complex(
-    h, n: int, d: int, allowed: Optional[set[int]] = None
-) -> SimplicialComplex:
+def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     """Divisor complex of h for the full (unpinched) Veronese semigroup.
 
-    Vertex labels index veronese_generators(n, d); `allowed` restricts the
-    vertex set (used to overlay pinched and unpinched complexes on one labeling).
+    Vertex labels index veronese_generators(n, d).
     """
     h = Multidegree(h)
     gens = veronese_generators(n, d)
-    ground = tuple(range(len(gens))) if allowed is None else tuple(sorted(allowed))
+    ground = tuple(range(len(gens)))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = (_divisor_levels(h, ground, tuple(gens[v] for v in ground), lambda r: False,
-                              h.total // d)
+    levels = (_divisor_levels(h, ground, gens, lambda r: False)
               if h.total % d == 0 else ())
     return SimplicialComplex(ground, degree=h, levels=levels)
 
@@ -332,9 +322,8 @@ def decomposition_check(h, d: int, i: int) -> bool:
     For the interior pinch (i, d-i), the unpinched complex of h must equal the
     union of the pinched complex and the fat link at the pinched vertex; and
     when |h| = i*d, every face of their intersection must have dimension
-    < i-2.  Both are filtered from the one Veronese subset table; the masks
-    that avoid the pinched vertex are downward closed, so the first empty
-    level ends them too.
+    < i-2.  All three are compared on the Veronese labels, on which the
+    pinched complex's labels at and above the pinched vertex's move up by one.
     """
     h = Multidegree(h)
     if len(h) != 2:
@@ -344,14 +333,13 @@ def decomposition_check(h, d: int, i: int) -> bool:
         raise ValueError(f"pinch index {i} is not interior for d={d}")
     if h.total % d != 0:
         raise ValueError(f"|h| = {h.total} is not a multiple of d = {d}")
-    config = PinchConfig(2, d, m)
-    gens = veronese_generators(2, d)
-    ground, pin, cap = tuple(range(len(gens))), 1 << gens.index(m), h.total // d
-    unpinched = set(chain.from_iterable(_divisor_levels(h, ground, gens, lambda r: False, cap)))
-    pinched = {f for f in chain.from_iterable(
-        _divisor_levels(h, ground, gens, _hole_test(config), cap))
-        if not f & pin} if is_member_closed(h, config) else set()
-    fat_link = {f for f in unpinched if f | pin in unpinched}
+    veronese = build_veronese_complex(h, 2, d)
+    pin = veronese_generators(2, d).index(m)
+    low = (1 << pin) - 1
+    pinched = {f & low | (f & ~low) << 1 for f in
+               chain.from_iterable(build_divisor_complex(h, PinchConfig(2, d, m)).levels)}
+    unpinched = set(chain.from_iterable(veronese.levels))
+    fat_link = set(chain.from_iterable(link(veronese, pin).levels))
     if unpinched != pinched | fat_link:
         return False
     return h.total != i * d or all(f.bit_count() - 1 < i - 2 for f in pinched & fat_link)

@@ -121,23 +121,15 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     return True
 
 
-def reduced_homology(
-    c: SimplicialComplex,
-    field: FieldSpec = DEFAULT_FIELD,
-    window: Optional[tuple[int, int]] = None,
-) -> HomologyProfile:
-    """Reduced homology dimensions of c over the given field.
+def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> HomologyProfile:
+    """Reduced homology dimensions of c over the given field, degrees -1..dim.
 
     They are read off the excision pair of one vertex (`_compute_profile`);
     a Betti scan skips the c that `betti._apex_bounds` proves cones.
-    `window = (lo, hi)` computes only the degrees lo..hi (the rest read 0)
-    and needs only the faces of dimension lo-1..hi+1, so it is safe on a
-    skeleton built with a size cap of at least hi+2 (the pair is the
-    skeleton's own).
     """
     if c.is_void:
         return HomologyProfile()
-    return _compute_profile(c, field, window)
+    return _compute_profile(c, field)
 
 
 def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) -> list:
@@ -159,9 +151,7 @@ def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) ->
     return cells
 
 
-def _compute_profile(
-    c: SimplicialComplex, field: FieldSpec, window: Optional[tuple[int, int]] = None
-) -> HomologyProfile:
+def _compute_profile(c: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     """Profile of the pair of `_excision_cells`, reduced top down with clearing.
 
     For a vertex v of c, the star st = {F : F + v in c} is a cone, so its
@@ -172,30 +162,29 @@ def _compute_profile(
     restricted to the cells.  If v is in no face, st is empty.  There are
     |c| - 2 * #{faces with v} cells, none exactly when v is an apex.
 
-    The top boundary map the window needs is reduced in full.  A pivot
-    column of it is a k-cell that leads a reduced row, which is a cycle, so
-    that cell's boundary lies in the span of those of smaller k-cells; by
-    induction boundary_k keeps its rank without the pivot cells' rows.  This
-    needs only boundary_k * boundary_{k+1} = 0 and unit leading entries, so
-    it holds for the pair over every field (Chen-Kerber, EuroCG 2011;
-    Bauer-Kerber-Reininghaus, "Clear and compress", 2014).  Then
+    The boundary maps are reduced from the top one down, the top one in
+    full.  A pivot column of boundary_{k+1} is a k-cell that leads a reduced
+    row, which is a cycle, so that cell's boundary lies in the span of those
+    of smaller k-cells; by induction boundary_k keeps its rank without the
+    pivot cells' rows.  This needs only boundary_k * boundary_{k+1} = 0 and
+    unit leading entries, so it holds for the pair over every field
+    (Chen-Kerber, EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and
+    compress", 2014).  Then
     dim H~_k = #(cells with k+1 vertices) - rank_k - rank_{k+1}.
     """
     cells = _excision_cells(c.levels)
     if not any(cells):
         return HomologyProfile()
-    top = c.dim
-    lo, hi = (-1, top) if window is None else (window[0], min(window[1], top))
     ranks = {}
     cleared: set[int] = set()
-    for k in range(min(hi + 1, top), max(lo, 0) - 1, -1):
+    for k in range(c.dim, -1, -1):
         rows, ncols = boundary_matrix(cells, k, skip=cleared)
         cleared = pivot_columns(rows, ncols, field)
         del rows
         ranks[k] = len(cleared)
     return HomologyProfile({
         k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        for k in range(max(lo, -1), hi + 1)
+        for k in range(-1, c.dim + 1)
     })
 
 

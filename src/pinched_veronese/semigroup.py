@@ -126,28 +126,8 @@ class PinchConfig:
         return self.m.permuted(perm), perm
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """All degree-d exponent vectors except the pinch, in descending lex order."""
-
-    gens: tuple[Multidegree, ...]
-    N: int
-
-    def __len__(self) -> int:
-        return len(self.gens)
-
-    def __iter__(self):
-        return iter(self.gens)
-
-    def __getitem__(self, idx):
-        return self.gens[idx]
-
-    def index(self, g: Multidegree) -> int:
-        return self.gens.index(g)
-
-
 @lru_cache(maxsize=128)
-def generate_generators(config: PinchConfig) -> GeneratorSet:
+def generate_generators(config: PinchConfig) -> tuple[Multidegree, ...]:
     """The generating set A_{n,d} minus the pinch, descending lex."""
     gens = tuple(
         Multidegree(c)
@@ -155,7 +135,7 @@ def generate_generators(config: PinchConfig) -> GeneratorSet:
         if c != tuple(config.m)
     )
     assert len(gens) == config.N - 1
-    return GeneratorSet(gens=gens, N=config.N)
+    return gens
 
 
 @lru_cache(maxsize=128)

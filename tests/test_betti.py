@@ -14,6 +14,7 @@ from pinched_veronese import (
     reduced_homology,
     witness_non_cm,
 )
+from pinched_veronese.betti import degree_cost
 
 
 def cfg(n, d, m):
@@ -228,7 +229,7 @@ def test_witness_interior_two_vars():
     assert w.h == (21, 21)
     assert w.index == 5  # N - 2
     assert w.dimension == 1
-    # the witness reads one degree off a size-capped skeleton; the full complex agrees
+    # the witness builds the whole complex and reads its degree N-3
     config = cfg(2, 5, (2, 3))
     w = witness_non_cm(config)
     assert w.dimension == 1
@@ -242,6 +243,16 @@ def test_witness_max_d_minus_1_three_vars():
     assert w.index == config.N - 3  # N - n
     assert w.h.total == (config.N - 3 + 2) * config.d
     assert w.dimension >= 1
+
+
+@pytest.mark.parametrize("n, d, m", [(2, 5, (2, 3)), (3, 3, (2, 1, 0)), (3, 3, (1, 1, 1))])
+def test_witness_refused_just_below_its_budget(n, d, m):
+    config = cfg(n, d, m)
+    cost = degree_cost(config)
+    with pytest.raises(ResourceLimitExceeded) as err:
+        witness_non_cm(config, budget=cost - 1)
+    assert err.value.estimate == cost and err.value.budget == cost - 1
+    assert witness_non_cm(config, budget=cost).dimension >= 1
 
 
 def test_witness_rejected_for_cm_classes():

@@ -349,6 +349,28 @@ def test_cli_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--sweep", "n=2,d=8..3"], "d range 8..3"),
+    (["dualcheck", "-d", "3", "--pinch", "0", "--coarse", "-1"], "--coarse"),
+    (["hilbert", "-d", "3", "--pinch", "0", "--expand", "-4"], "--expand"),
+], ids=("reversed-sweep", "negative-coarse", "negative-expand"))
+def test_cli_rejects_empty_ranges_and_negative_degrees(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
+
+
+def test_cli_verify_refuses_the_witness_over_budget(capsys):
+    # the witness complex of n=3 d=3 (2,1,0) costs 2^(N-1) = 512 subsets
+    argv = ["verify", "-n", "3", "-d", "3", "--pinch", "2,1,0"]
+    assert main([*argv, "--budget", "511"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: estimated cost 512 ")
+    assert main([*argv, "--budget", "512"]) == 0
+
+
 def test_cli_resource_refusal(capsys):
     code = main(["betti", "-n", "3", "-d", "4", "--pinch", "2,1,1",
                  "--smax", "16"])

@@ -166,17 +166,6 @@ def test_boundary_matrix_shape_and_signs():
     assert rows0 == [{0: 1}, {0: 1}, {0: 1}] and ncols0 == 1
 
 
-def test_windowed_homology_matches_full_profile():
-    config = PinchConfig(2, 5, Multidegree((2, 3)))
-    for t in range(1, 5):
-        for h in enumerate_degree(config, t):
-            c = build_divisor_complex(h, config)
-            prof = reduced_homology(c)
-            for k in range(-1, c.dim + 1):
-                assert reduced_homology(c, window=(k, k)).items() == (
-                    [(k, prof[k])] if prof[k] else []), (h, k)
-
-
 # -- clearing against per-level ranks on divisor complexes --------------------
 
 
@@ -208,16 +197,12 @@ def clearing_cases():
 
 
 def test_cleared_reduction_matches_per_level_ranks():
-    """Clearing keeps every rank: full profiles and single-degree windows."""
+    """Clearing keeps every rank."""
     checked = 0
     for h, c in clearing_cases():
         checked += 1
         for field in (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS):
-            expected = per_level_profile(c, field)
-            assert reduced_homology(c, field) == expected, (h, field)
-            for k in range(-1, c.dim + 1):
-                assert reduced_homology(c, field, window=(k, k)).items() == (
-                    [(k, expected[k])] if expected[k] else []), (h, field, k)
+            assert reduced_homology(c, field) == per_level_profile(c, field), (h, field)
     assert checked == 845
 
 
@@ -244,18 +229,18 @@ def test_pair_profiles_match_per_level_ranks_n3(m, count):
             assert reduced_homology(c, field) == per_level_profile(c, field), (h, field)
 
 
-@pytest.mark.parametrize("n, d, m", [(2, 5, (2, 3)), (2, 6, (2, 4)), (2, 6, (3, 3)),
-                                     (2, 7, (2, 5)), (2, 7, (3, 4)), (3, 3, (2, 1, 0))])
-def test_windowed_homology_on_skeletons(n, d, m):
-    # the witness scan builds only the (k+1)-skeleton; its pair gives degree k
+@pytest.mark.parametrize("n, d, m", [
+    (2, 5, (2, 3)), (2, 6, (2, 4)), (2, 6, (3, 3)), (2, 7, (2, 5)), (2, 7, (3, 4)),
+    (3, 3, (2, 1, 0)), (3, 3, (1, 1, 1)),
+    (3, 4, (3, 1, 0)), (3, 4, (2, 2, 0)), (3, 4, (2, 1, 1)),
+])
+def test_witness_complex_has_homology_in_one_degree(n, d, m):
+    # the witness reads one degree of its whole complex; no other degree is nonzero
     config = PinchConfig(n, d, Multidegree(m))
     w = witness_non_cm(config)
-    full = reduced_homology(build_divisor_complex(w.h, config))
-    assert full[w.index - 1] == w.dimension > 0
-    for k in range(-1, build_divisor_complex(w.h, config).dim + 1):
-        skeleton = build_divisor_complex(w.h, config, size_cap=k + 2)
-        assert reduced_homology(skeleton, window=(k, k)).items() == (
-            [(k, full[k])] if full[k] else []), k
+    assert w.dimension > 0
+    profile = reduced_homology(build_divisor_complex(w.h, config))
+    assert profile == HomologyProfile({w.index - 1: w.dimension})
 
 
 def test_boundary_square_zero_on_divisor_complexes():
