@@ -36,14 +36,13 @@ from .homology import (
 from .linalg import DEFAULT_FIELD, GF2, RATIONALS, FieldSpec, matrix_rank
 from .semigroup import (
     Multidegree,
-    NormalityCounterexample,
     PinchClass,
     PinchConfig,
     enumerate_degree,
     generate_generators,
     is_member_bruteforce,
     is_member_closed,
-    normality_probe,
+    is_normal,
 )
 from .series import (
     Polynomial,
@@ -81,7 +80,6 @@ __all__ = [
     "HomologyProfile",
     "Multidegree",
     "NonCmWitness",
-    "NormalityCounterexample",
     "PinchClass",
     "PinchConfig",
     "Polynomial",
@@ -114,11 +112,11 @@ __all__ = [
     "hilbert_function",
     "is_member_bruteforce",
     "is_member_closed",
+    "is_normal",
     "k_polynomial_check",
     "link",
     "matrix_rank",
     "multigraded_betti",
-    "normality_probe",
     "reduced_homology",
     "verify",
     "veronese_generators",

@@ -24,6 +24,7 @@ from .semigroup import (
     PinchConfig,
     enumerate_degree,
     generate_generators,
+    is_cohen_macaulay,
 )
 
 DEFAULT_COMPLEX_BUDGET = 100_000_000
@@ -120,10 +121,9 @@ def degree_cost(config: PinchConfig, t: Optional[int] = None) -> int:
     return complexes * (1 << (config.N - 1))
 
 
-def _profile_worker(args) -> list[list[int]]:
+def _profile_worker(args) -> HomologyProfile:
     config, field, h = args
-    profile = reduced_homology(build_divisor_complex(h, config), field)
-    return profile.to_pairs()
+    return reduced_homology(build_divisor_complex(h, config), field)
 
 
 # one coordinate demand of a cone apex g: (q, T_q, need_q), see `_cone_apexes`
@@ -229,8 +229,8 @@ def _profiles_for_degrees(
     The profile is None for an h whose divisor complex the cone certificate
     of `_apex_bounds` proves a cone: its reduced homology is zero.  Such an
     h is never built, cone-tested, looked up in or written to the cache, or
-    sent to the worker pool.  The rest are read from the cache or computed,
-    with jobs capped at the CPU count.
+    sent to the worker pool.  The rest are read from the cache or computed
+    by `_profile_worker`, with jobs capped at the CPU count.
     """
     apexes = _cone_apexes(config)
     work: list[tuple[int, Multidegree, bool]] = []
@@ -249,20 +249,16 @@ def _profiles_for_degrees(
         else:
             missing.append(h)
     jobs = min(jobs, os.cpu_count() or 1)
+    args = [(config, field, h) for h in missing]
     if jobs > 1 and len(missing) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _profile_worker,
-                [(config, field, h) for h in missing],
-                chunksize=max(1, len(missing) // (4 * jobs)),
-            )
-            for h, pairs in zip(missing, results):
-                profiles[h] = HomologyProfile.from_pairs(pairs)
+            results = list(pool.map(_profile_worker, args,
+                                    chunksize=max(1, len(missing) // (4 * jobs))))
     else:
-        for h in missing:
-            profiles[h] = reduced_homology(build_divisor_complex(h, config), field)
+        results = map(_profile_worker, args)
+    profiles.update(zip(missing, results))
     if cache is not None:
         for h in missing:
             cache.put(h, profiles[h])
@@ -298,6 +294,8 @@ def graded_betti(
         raise ValueError(f"i_max must lie in 0..{config.N - 2}, got {i_max}")
     if s_max < i_max + 1:
         raise ValueError(f"s_max must be at least i_max + 1 = {i_max + 1}, got {s_max}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cost = estimate_cost(config, s_max)
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
@@ -422,11 +420,11 @@ def witness_non_cm(
     Much cheaper than a table scan: one complex, whole, whose cost proxy is
     `degree_cost(config)`.
     """
-    cls = config.pinch_class
-    if cls is PinchClass.MAX_D or (cls is PinchClass.MAX_D_MINUS_1 and config.n == 2):
+    if is_cohen_macaulay(config):
         raise ValueError(
             f"{config} lies in a Cohen-Macaulay class; there is no witness"
         )
+    cls = config.pinch_class
     if cls is PinchClass.MAX_D_MINUS_1 and config.d == 2:
         # the degree-2 semigroup misses more than (td-1, 1, 0, ...); the
         # witness construction (and the classification it supports) needs d >= 3

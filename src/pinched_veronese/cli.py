@@ -68,6 +68,12 @@ def _config_from_args(args) -> PinchConfig:
     return PinchConfig.from_pinch_index(args.d, int(args.pinch))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _require_non_negative(flag: str, value) -> None:
     if value is not None and value < 0:
         raise ValueError(f"{flag} must be non-negative, got {value}")
@@ -357,7 +363,7 @@ SHARED_OPTIONS = {
     "--field": dict(default="32003", help="coefficient field: a prime, or q for the rationals"),
     "--format": dict(choices=("text", "json", "csv"), default="text"),
     "--cache-dir": dict(default=None, help=f"profile cache directory (default: ${CACHE_ENV_VAR})"),
-    "--jobs": dict(type=int, default=1, help="parallel homology jobs"),
+    "--jobs": dict(type=_positive_int, default=1, help="parallel homology jobs"),
     "--budget": dict(type=int, default=DEFAULT_COMPLEX_BUDGET,
                      help="resource budget (complexes x subsets)"),
     "--imax": dict(type=int, default=None, help="largest homological degree"),

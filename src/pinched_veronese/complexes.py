@@ -72,9 +72,9 @@ class SimplicialComplex:
     lexicographic order; the void complex has no levels.
     """
 
-    __slots__ = ("ground", "levels", "degree")
+    __slots__ = ("ground", "levels")
 
-    def __init__(self, ground: Iterable[int], faces=(), degree: Optional[Multidegree] = None,
+    def __init__(self, ground: Iterable[int], faces=(),
                  levels: Optional[tuple[tuple[int, ...], ...]] = None):
         self.ground = tuple(sorted(set(ground)))
         if levels is None:
@@ -84,7 +84,6 @@ class SimplicialComplex:
                 for k in range(max((m.bit_count() + 1 for m in masks), default=0))
             )
         self.levels = levels
-        self.degree = degree
 
     # -- basic queries -------------------------------------------------
 
@@ -246,7 +245,7 @@ def build_divisor_complex(h, config: PinchConfig) -> SimplicialComplex:
     levels = ()
     if is_member_closed(h, config):
         levels = _divisor_levels(h, ground, gens, _hole_test(config))
-    return SimplicialComplex(ground, degree=h, levels=levels)
+    return SimplicialComplex(ground, levels=levels)
 
 
 def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
@@ -265,7 +264,7 @@ def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     # the unpinched Veronese semigroup contains every vector of degree t*d
     levels = (_divisor_levels(h, ground, gens, lambda r: False)
               if h.total % d == 0 else ())
-    return SimplicialComplex(ground, degree=h, levels=levels)
+    return SimplicialComplex(ground, levels=levels)
 
 
 def alexander_dual(
@@ -313,7 +312,7 @@ def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     levels = tuple(tuple(f for f in level if f | b in masks) for level in c.levels)
     while levels and not levels[-1]:
         levels = levels[:-1]
-    return SimplicialComplex(c.ground, degree=c.degree, levels=levels)
+    return SimplicialComplex(c.ground, levels=levels)
 
 
 def decomposition_check(h, d: int, i: int) -> bool:

@@ -4,7 +4,9 @@ The semigroup H sits in N^n and is generated by all exponent vectors of
 total degree d except one distinguished vector m (the "pinch").  Membership
 in H has a closed form that depends only on max(m) (d, d-1, or smaller);
 this module provides that closed form, an independent brute-force oracle,
-degree-wise enumeration, and a bounded normality probe.
+degree-wise enumeration, and the two ring properties decided by the pinch
+class alone: normality (proved in `is_normal`) and the paper's
+Cohen-Macaulay characterization (`is_cohen_macaulay`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import sub
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 
 class Multidegree(tuple):
@@ -221,32 +223,39 @@ def enumerate_degree(config: PinchConfig, t: int) -> list[Multidegree]:
             for c in _compositions_desc(t * config.d, config.n) if not hole(c)]
 
 
-class NormalityCounterexample(NamedTuple):
-    z: Multidegree
-    multiplier: int
+def is_normal(config: PinchConfig) -> bool:
+    """Whether H = gp(H) ∩ R+H (normality; Bruns-Gubeladze, Polytopes,
+    Rings, and K-Theory, 2009), decided by the pinch class.
 
-
-def normality_probe(
-    config: PinchConfig, degree_bound: int, multiplier_bound: int
-) -> Optional[NormalityCounterexample]:
-    """Bounded search for a witness of non-normality.
-
-    Scans z in N^n with |z| = t*d for 1 <= t <= degree_bound and z not in H;
-    reports the first (descending lex within each degree) z such that
-    mult*z lies in H for some 2 <= mult <= multiplier_bound.  Negative
-    coordinates need not be scanned: mult*z must land in N^n.  A None result
-    is only a bounded refutation failure, not a proof of normality.
+    H is normal exactly when no hole of `_hole_test` lies in both the cone
+    R+H and the group gp(H).  p is the position of max m.
+      max m = d: gp(H) = {x : |x| = 0 mod d}, as e_p - e_q = ((d-1)e_p + e_q)
+        - ((d-2)e_p + 2e_q) and d*e_p = ((d-1)e_p + e_q) + (e_p - e_q).  The
+        cone is {x >= 0 : |x| - x_p >= |x|/d}; its lattice points of degree
+        t*d are exactly H_t = {|x| - x_p >= t}.  Normal.
+      max m < d-1: m has a second positive coordinate q, and
+        m = 1/2 (m + e_p - e_q) + 1/2 (m - e_p + e_q) is in the cone, and
+        m = (m + e_p - e_q) - (d*e_p - ((d-1)e_p + e_q)) in the group.
+        Not normal.
+      max m = d-1, d >= 3 (m = (d-1)e_p + e_r): m = 1/2 ((d-2)e_p + 2e_r)
+        + 1/2 (d*e_p) is in the cone.  It is in the group, as m = d*e_p
+        + ((d-2)e_p + e_r + e_s) - ((d-1)e_p + e_s) for n >= 3, and as
+        m = d*e_p - ((d-2)e_p + 2e_r) + ((d-3)e_p + 3e_r) for n = 2.
+        Not normal.
+      d = 2, m = e_p + e_r: H = N(2e_p) + N(2e_r) is free for n = 2, so
+        normal.  For n >= 3, m = 1/2 (2e_p + 2e_r) is in the cone and
+        m = (e_p + e_s) + (e_r + e_s) - 2e_s in the group.  Not normal.
     """
-    if degree_bound <= 0 or multiplier_bound <= 0:
-        raise ValueError("bounds must be positive")
-    # z and its multiples have totals that are positive multiples of d, so
-    # each is in H exactly when it is not a hole
-    hole = _hole_test(config)
-    for t in range(1, degree_bound + 1):
-        for z in _compositions_desc(t * config.d, config.n):
-            if not hole(z):
-                continue
-            for mult in range(2, multiplier_bound + 1):
-                if not hole(tuple(mult * x for x in z)):
-                    return NormalityCounterexample(z=Multidegree(z), multiplier=mult)
-    return None
+    cls = config.pinch_class
+    return cls is PinchClass.MAX_D or (
+        cls is PinchClass.MAX_D_MINUS_1 and config.d == 2 and config.n == 2)
+
+
+def is_cohen_macaulay(config: PinchConfig) -> bool:
+    """The paper's characterization: k[H] is Cohen-Macaulay exactly when
+    max m = d, or max m = d-1 with n = 2.  For n >= 3 that is the normal
+    class (`is_normal`; normal implies CM by Hochster, Ann. Math. 1972).
+    It fails at d = 2, n >= 3, max m = 1, which `witness_non_cm` refuses:
+    the computed table of n=3 m=(1,1,0) reads Cohen-Macaulay."""
+    cls = config.pinch_class
+    return cls is PinchClass.MAX_D or (cls is PinchClass.MAX_D_MINUS_1 and config.n == 2)

@@ -26,9 +26,8 @@ from .betti import (
     graded_betti,
     witness_non_cm,
 )
-from .errors import ResourceLimitExceeded
 from .linalg import DEFAULT_FIELD, FieldSpec
-from .semigroup import PinchClass, PinchConfig, normality_probe
+from .semigroup import PinchClass, PinchConfig, is_cohen_macaulay, is_normal
 from .series import k_polynomial_check
 
 
@@ -281,11 +280,6 @@ class VerificationReport:
         }
 
 
-def _expected_cm(config: PinchConfig) -> bool:
-    top = max(config.m)
-    return top == config.d or (top == config.d - 1 and config.n == 2)
-
-
 def _verify_two_variables(
     config: PinchConfig,
     field: FieldSpec,
@@ -315,7 +309,7 @@ def _verify_two_variables(
 
     classification = classify(table)
     report.classification = classification
-    want_cm = _expected_cm(config)
+    want_cm = is_cohen_macaulay(config)
     checks.append(
         Check(
             label="cm-classification",
@@ -382,23 +376,18 @@ def _verify_two_variables(
 def _verify_general(
     config: PinchConfig, field: FieldSpec, budget: int
 ) -> VerificationReport:
+    """The n >= 3 report: the exact normality decision for the CM class, which
+    does no work, or a non-CM witness complex within `budget`."""
     report = VerificationReport(config=config, field=field)
-    if _expected_cm(config):
-        degree_bound, multiplier_bound = 6, 4
-        # the probe scans at most every lattice point of total t*d, t <= degree_bound
-        cost = sum(comb(t * config.d + config.n - 1, config.n - 1)
-                   for t in range(1, degree_bound + 1))
-        if cost > budget:
-            raise ResourceLimitExceeded(cost, budget)
-        probe = normality_probe(config, degree_bound, multiplier_bound)
+    if is_cohen_macaulay(config):
+        normal = is_normal(config)
         report.checks.append(
             Check(
-                label="normality-probe",
-                detail="bounded search for a non-normality witness "
-                       f"(t <= {degree_bound}, mult <= {multiplier_bound})",
-                passed=(probe is None),
-                expected=None,
-                actual=probe,
+                label="cm-classification",
+                detail="H is normal by its pinch class, so Cohen-Macaulay (Hochster)",
+                passed=normal,
+                expected=True,
+                actual=True if normal else "undecided",
             )
         )
     else:
@@ -438,8 +427,8 @@ def verify(
 
     For n = 2 this runs the full pipeline (table, catalog comparison,
     classification, series identity).  For n >= 3 there is no catalog; the
-    report carries the cheap classification evidence (a non-CM witness, or a
-    clean normality probe).
+    report carries one cm-classification check, from the exact normality
+    decision for the Cohen-Macaulay class and from a non-CM witness otherwise.
     """
     if config.n == 2:
         return _verify_two_variables(config, field, cache, jobs, budget)

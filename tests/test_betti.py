@@ -91,6 +91,9 @@ def test_table_determinism_and_jobs():
     assert t1.entries == t2.entries
     t3 = graded_betti(config, jobs=2)
     assert t1.same_entries(t3)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            graded_betti(config, jobs=jobs)
 
 
 def test_jobs_capped_at_cpu_count(monkeypatch):

@@ -321,11 +321,24 @@ def test_cli_dualcheck_default_budget_passes_golden_cases(capsys, argv):
     assert main(argv) == 0
 
 
-def test_cli_verify_refuses_the_normality_probe_over_budget(capsys):
-    # the probe of a CM n = 3 class scans 510 lattice points (t <= 6)
-    assert main(["verify", "-n", "3", "-d", "3", "--pinch", "3,0,0", "--budget", "1"]) == 3
-    assert capsys.readouterr().err.startswith("refused: estimated cost 510 ")
-    assert main(["verify", "-n", "3", "-d", "3", "--pinch", "3,0,0", "--budget", "510"]) == 0
+def test_cli_verify_decides_the_cm_class_without_work(capsys):
+    # normality of the max=d class is decided from the pinch class alone
+    assert main(["verify", "-n", "3", "-d", "3", "--pinch", "3,0,0", "--budget", "1"]) == 0
+    assert "[PASS] cm-classification" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "-d", "3", "--pinch", "0", "--jobs", "0"],
+    ["betti", "-d", "3", "--pinch", "0", "--jobs", "-3"],
+    ["verify", "-d", "3", "--pinch", "0", "--jobs", "0"],
+], ids=("betti-zero", "betti-negative", "verify-zero"))
+def test_cli_rejects_jobs_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --jobs: must be a positive integer" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from pinched_veronese import (
     Multidegree,
-    NormalityCounterexample,
     PinchClass,
     PinchConfig,
     enumerate_degree,
     generate_generators,
     is_member_bruteforce,
     is_member_closed,
-    normality_probe,
+    is_normal,
 )
+from pinched_veronese.semigroup import is_cohen_macaulay
 
 
 def compositions(total, parts):
@@ -261,49 +261,58 @@ def test_enumerate_counts_match_series():
             assert len(enumerate_degree(config, t)) == coeffs[t * config.d], (config, t)
 
 
-# -- normality probe ---------------------------------------------------------
+# -- normality ---------------------------------------------------------------
 
 
-def test_normality_probe_normal_class():
-    assert normality_probe(cfg(2, 4, (4, 0)), 6, 4) is None
+def normal_by_bruteforce(config, degree_bound=2, multiplier_bound=4):
+    """No z in N^n of total t*d (t <= degree_bound) that proves H non-normal.
 
-
-def test_normality_probe_interior_counterexample():
-    out = normality_probe(cfg(2, 5, (2, 3)), 6, 4)
-    assert out == NormalityCounterexample(Multidegree((2, 3)), 2)
-    z, mult = out
-    assert not is_member_closed(z, cfg(2, 5, (2, 3)))
-    assert is_member_bruteforce(z.scaled(mult), cfg(2, 5, (2, 3)))
-
-
-def test_normality_probe_max_d_minus_1_counterexample():
-    out = normality_probe(cfg(2, 4, (3, 1)), 6, 4)
-    assert out == NormalityCounterexample(Multidegree((3, 1)), 2)
-
-
-def test_normality_probe_bad_bounds():
-    with pytest.raises(ValueError):
-        normality_probe(cfg(2, 4, (4, 0)), 0, 4)
-
-
-def probe_by_bruteforce(config, degree_bound, multiplier_bound):
-    """The probe's definition, scanned with the dynamic-programming oracle."""
+    A witness z is not in H, has mult*z in H for some 2 <= mult <= the bound
+    (so z lies in the cone), and has z + g in H for some generator g (so z
+    lies in gp(H)).  Every membership test is the dynamic-programming oracle.
+    """
+    gens = generate_generators(config)
     for t in range(1, degree_bound + 1):
-        for z in sorted(compositions(t * config.d, config.n), reverse=True):
+        for z in compositions(t * config.d, config.n):
             z = Multidegree(z)
             if is_member_bruteforce(z, config):
                 continue
-            for mult in range(2, multiplier_bound + 1):
-                if is_member_bruteforce(z.scaled(mult), config):
-                    return NormalityCounterexample(z, mult)
-    return None
+            if (any(is_member_bruteforce(z.scaled(mult), config)
+                    for mult in range(2, multiplier_bound + 1))
+                    and any(is_member_bruteforce(z + g, config) for g in gens)):
+                return False
+    return True
 
 
 @pytest.mark.parametrize("n, d, m", [
     (n, d, m) for n in (2, 3) for d in (2, 3, 4)
     for m in compositions(d, n) if list(m) == sorted(m, reverse=True)
 ])
-def test_normality_probe_matches_bruteforce_scan(n, d, m):
+def test_is_normal_matches_bruteforce_scan(n, d, m):
     # mult * t <= 8 keeps every multiple under the oracle's default cap of 8d
     config = cfg(n, d, m)
-    assert normality_probe(config, 2, 4) == probe_by_bruteforce(config, 2, 4)
+    assert is_normal(config) == normal_by_bruteforce(config)
+
+
+def test_d2_interior_pair_pinch_is_normal():
+    # H = N(2,0) + N(0,2): (1,1) is in the cone but not in gp(H) = 2Z^2
+    config = cfg(2, 2, (1, 1))
+    assert is_normal(config)
+    assert not is_member_bruteforce((1, 1), config)
+    assert is_member_bruteforce((2, 2), config)
+    assert not any(is_member_bruteforce(Multidegree((1, 1)) + g, config)
+                   for g in generate_generators(config))
+
+
+@pytest.mark.parametrize("n, d, m, normal, cm", [
+    (2, 4, (4, 0), True, True),
+    (2, 4, (3, 1), False, True),
+    (2, 5, (2, 3), False, False),
+    (3, 3, (3, 0, 0), True, True),
+    (3, 3, (2, 1, 0), False, False),
+    (3, 2, (1, 1, 0), False, False),
+    (4, 3, (3, 0, 0, 0), True, True),
+])
+def test_normality_and_cm_by_class(n, d, m, normal, cm):
+    config = cfg(n, d, m)
+    assert (is_normal(config), is_cohen_macaulay(config)) == (normal, cm)

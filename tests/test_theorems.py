@@ -231,7 +231,17 @@ def test_verify_three_vars_cm_classification_can_fail(monkeypatch):
 def test_verify_three_vars_normality():
     report = verify(cfg(3, 3, (3, 0, 0)))
     assert report.all_pass
-    assert {c.label for c in report.checks} == {"normality-probe"}
+    assert {c.label for c in report.checks} == {"cm-classification"}
+
+
+def test_verify_three_vars_normality_check_can_fail(monkeypatch):
+    import pinched_veronese.theorems as theorems
+
+    monkeypatch.setattr(theorems, "is_normal", lambda config: False)
+    report = verify(cfg(3, 3, (3, 0, 0)))
+    check = next(c for c in report.checks if c.label == "cm-classification")
+    assert check.passed is False
+    assert not report.all_pass
 
 
 def test_verify_d2_without_a_catalog_still_classifies():
@@ -251,7 +261,7 @@ def test_verify_d2_without_a_catalog_still_classifies():
 def test_verify_d2_cm_classification_can_fail(monkeypatch):
     import pinched_veronese.theorems as theorems
 
-    monkeypatch.setattr(theorems, "_expected_cm", lambda config: False)
+    monkeypatch.setattr(theorems, "is_cohen_macaulay", lambda config: False)
     report = verify(cfg(2, 2, (1, 1)))
     check = next(c for c in report.checks if c.label == "cm-classification")
     assert check.passed is False
