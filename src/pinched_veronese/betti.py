@@ -9,7 +9,6 @@ certified table.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
 from itertools import accumulate
 from math import comb
 from typing import Callable, NamedTuple, Optional
@@ -30,7 +29,6 @@ from .semigroup import (
 DEFAULT_COMPLEX_BUDGET = 100_000_000
 
 
-@dataclass(eq=False)
 class BettiTable:
     """Rectangle of graded Betti numbers with explicit zeros.
 
@@ -40,12 +38,14 @@ class BettiTable:
     certificate settled without building it; it is not part of the JSON form.
     """
 
-    config: PinchConfig
-    field: FieldSpec
-    i_max: int
-    s_max: int
-    entries: dict[tuple[int, int], int]
-    certified_cones: int = 0
+    def __init__(self, config: PinchConfig, field: FieldSpec, i_max: int, s_max: int,
+                 entries: dict[tuple[int, int], int], certified_cones: int = 0):
+        self.config = config
+        self.field = field
+        self.i_max = i_max
+        self.s_max = s_max
+        self.entries = entries
+        self.certified_cones = certified_cones
 
     def entry(self, i: int, s: int) -> int:
         return self.entries.get((i, s), 0)
@@ -338,8 +338,7 @@ def multigraded_betti(
     return out
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Derived ring invariants; depth comes from the projective dimension."""
 
     pdim: int
@@ -351,7 +350,7 @@ class ClassificationReport:
     observed_regularity: int
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def classify(table: BettiTable) -> ClassificationReport:

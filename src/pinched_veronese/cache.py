@@ -124,8 +124,8 @@ class HomologyCache:
             }
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+                with os.fdopen(fd, "w") as fh:  # one C-encoded string, one write
+                    fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
                 os.replace(tmp, self.path)
             finally:
                 if os.path.exists(tmp):

@@ -46,6 +46,9 @@ from .series import (
 from .theorems import expected_table, has_catalog, verify
 
 CACHE_ENV_VAR = "PINCHED_VERONESE_CACHE_DIR"
+# largest `hilbert --expand`: the expansion is one list of that many + 1
+# integers, held whole and printed whole (8.6 MB of JSON at the cap)
+MAX_EXPAND = 1_000_000
 
 
 def _parse_vector(text: str) -> Multidegree:
@@ -142,6 +145,9 @@ def _cmd_member(args) -> CommandResult:
 def _cmd_hilbert(args) -> CommandResult:
     config = _config_from_args(args)
     _require_non_negative("--expand", args.expand)
+    if args.expand is not None and args.expand > MAX_EXPAND:
+        raise ResourceLimitExceeded(args.expand, MAX_EXPAND,
+                                    f"--expand {args.expand} exceeds the cap {MAX_EXPAND}")
     series = hilbert_closed(config)
     num, den = in_z(series.h, config.d), in_z(one_minus_w(series.e), config.d)
     payload = {**_config_fields(config), "numerator": num, "denominator": den}

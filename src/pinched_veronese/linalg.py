@@ -19,23 +19,27 @@ map leaves its row space, and so its rank, unchanged over every field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class _FieldFields(NamedTuple):
+    p: int | None
+
+
+class FieldSpec(_FieldFields):
     """Coefficient field: a prime field GF(p), or the rationals when p is None."""
 
-    p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __new__(cls, p: int | None = None) -> "FieldSpec":
+        if p is not None and not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":

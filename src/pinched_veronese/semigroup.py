@@ -12,11 +12,10 @@ Cohen-Macaulay characterization (`is_cohen_macaulay`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 
 class Multidegree(tuple):
@@ -77,24 +76,28 @@ class PinchClass(enum.Enum):
     INTERIOR = "max<d-1"
 
 
-@dataclass(frozen=True)
-class PinchConfig:
-    """The ring data (n, d, m): n variables, Veronese degree d, pinched vector m."""
-
+class _PinchFields(NamedTuple):
     n: int
     d: int
     m: Multidegree
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", Multidegree(self.m))
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
-        if len(self.m) != self.n:
-            raise ValueError(f"pinch vector {self.m} has length {len(self.m)}, expected n={self.n}")
-        if self.m.total != self.d:
-            raise ValueError(f"pinch vector {self.m} has total degree {self.m.total}, expected d={self.d}")
+
+class PinchConfig(_PinchFields):
+    """The ring data (n, d, m): n variables, Veronese degree d, pinched vector m."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int, m) -> "PinchConfig":
+        m = Multidegree(m)
+        if n < 2:
+            raise ValueError(f"n must be >= 2, got {n}")
+        if d < 2:
+            raise ValueError(f"d must be >= 2, got {d}")
+        if len(m) != n:
+            raise ValueError(f"pinch vector {m} has length {len(m)}, expected n={n}")
+        if m.total != d:
+            raise ValueError(f"pinch vector {m} has total degree {m.total}, expected d={d}")
+        return super().__new__(cls, n, d, m)
 
     @classmethod
     def from_pinch_index(cls, d: int, i: int) -> "PinchConfig":

@@ -14,9 +14,8 @@ errata, at its two row-2 tail cells (see expected_interior).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .betti import (
     BettiTable,
@@ -31,22 +30,32 @@ from .semigroup import PinchClass, PinchConfig, is_cohen_macaulay, is_normal
 from .series import k_polynomial_check
 
 
-@dataclass(frozen=True)
-class ExpectedTable:
-    """Catalog of claims about one table: exact values, zeros, and open cells.
-
-    errata maps a cell of known whose stated form is shown wrong to the value
-    that cell must hold; errata_details gives the derivation of each.
-    """
-
+class _CatalogFields(NamedTuple):
     label: str
     known: dict[tuple[int, int], int]
     known_details: dict[tuple[int, int], str]
     unknown: frozenset[tuple[int, int]]
     named_zeros: dict[str, tuple[int, int]]
     nonzero_cells: dict[str, tuple[int, int]]
-    errata: dict[tuple[int, int], int] = dataclass_field(default_factory=dict)
-    errata_details: dict[tuple[int, int], str] = dataclass_field(default_factory=dict)
+    errata: dict[tuple[int, int], int]
+    errata_details: dict[tuple[int, int], str]
+
+
+class ExpectedTable(_CatalogFields):
+    """Catalog of claims about one table: exact values, zeros, and open cells.
+
+    errata maps a cell of known whose stated form is shown wrong to the value
+    that cell must hold; errata_details gives the derivation of each.  Both
+    default to a new empty dict per table.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, label, known, known_details, unknown, named_zeros, nonzero_cells,
+                errata=None, errata_details=None) -> "ExpectedTable":
+        return super().__new__(cls, label, known, known_details, unknown, named_zeros,
+                               nonzero_cells, {} if errata is None else errata,
+                               {} if errata_details is None else errata_details)
 
     def implied_zero_cells(self, i_max: int, s_max: int) -> list[tuple[int, int]]:
         """Every scanned cell not pinned by a known value and not left open."""
@@ -204,8 +213,7 @@ def expected_table(config: PinchConfig) -> ExpectedTable:
 # -- verification ---------------------------------------------------------
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     """One verified claim; passed is None for purely informational items."""
 
     label: str
@@ -238,13 +246,15 @@ def _jsonable(x):
     return str(x)
 
 
-@dataclass
 class VerificationReport:
-    config: PinchConfig
-    field: FieldSpec
-    checks: list[Check] = dataclass_field(default_factory=list)
-    classification: Optional[ClassificationReport] = None
-    table: Optional[BettiTable] = None
+    def __init__(self, config: PinchConfig, field: FieldSpec, checks: Optional[list[Check]] = None,
+                 classification: Optional[ClassificationReport] = None,
+                 table: Optional[BettiTable] = None):
+        self.config = config
+        self.field = field
+        self.checks = [] if checks is None else checks
+        self.classification = classification
+        self.table = table
 
     @property
     def all_pass(self) -> bool:

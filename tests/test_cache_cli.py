@@ -15,7 +15,7 @@ from pinched_veronese import (
     reduced_homology,
 )
 from pinched_veronese.cache import ENGINE
-from pinched_veronese.cli import main
+from pinched_veronese.cli import MAX_EXPAND, main
 
 
 def cfg(n, d, m):
@@ -159,6 +159,16 @@ def test_cache_saves_at_the_same_instant_lose_no_entries(tmp_path):
         assert len(cache) == writers * 50
 
 
+def test_cache_file_is_compact_sorted_json(tmp_path):
+    # the bytes that json.dump wrote before saves went through json.dumps
+    config = cfg(2, 5, (2, 3))
+    cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
+    graded_betti(config, cache=cache)
+    text = cache.path.read_text()
+    assert len(json.loads(text)["profiles"]) > 1
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+
 def test_cache_feeds_graded_betti(tmp_path):
     config = cfg(2, 4, (3, 1))
     cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
@@ -200,6 +210,22 @@ def test_cli_hilbert_json(capsys):
     assert payload["schema"] == SCHEMA_VERSION
     # lattice counting: 3t+1 points in coarse degree t once the pinch is gone
     assert [payload["expansion"][4 * t] for t in range(5)] == [1, 4, 7, 10, 13]
+
+
+def test_cli_hilbert_expands_through_the_cap(capsys):
+    code, out = run_cli(capsys, "hilbert", "-d", "3", "--pinch", "0",
+                        "--expand", str(MAX_EXPAND), "--format", "csv")
+    assert code == 0
+    part, coefficients = out.splitlines()[-1].split(",")
+    assert part == "expansion" and len(coefficients.split()) == MAX_EXPAND + 1
+
+
+@pytest.mark.parametrize("expand", (MAX_EXPAND + 1, 30_000_000))
+def test_cli_hilbert_refuses_expansions_over_the_cap(capsys, expand):
+    assert main(["hilbert", "-d", "3", "--pinch", "0", "--expand", str(expand)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: --expand {expand} exceeds the cap {MAX_EXPAND}\n"
 
 
 def test_cli_hpoly(capsys):
