@@ -25,6 +25,7 @@ from .semigroup import (
     generate_generators,
     is_cohen_macaulay,
 )
+from .series import hilbert_function
 
 DEFAULT_COMPLEX_BUDGET = 100_000_000
 
@@ -35,7 +36,9 @@ class BettiTable:
     `entries` holds every cell (i, s) with 0 <= i <= i_max, 0 <= s <= s_max,
     so shape claims (zero regions) are decidable from the table alone.
     `certified_cones` counts the elements h whose divisor complex the cone
-    certificate settled without building it; it is not part of the JSON form.
+    certificate settled without building it: the Hilbert function summed over
+    the scanned degrees, less the elements scanned.  It is not part of the
+    JSON form.
     """
 
     def __init__(self, config: PinchConfig, field: FieldSpec, i_max: int, s_max: int,
@@ -224,25 +227,30 @@ def _profiles_for_degrees(
     cache=None,
     jobs: int = 1,
 ):
-    """Yield (s, h, profile) deterministically (s ascending, h descending lex).
+    """Yield (s, h, profile) for the h that the cone certificate of
+    `_apex_bounds` leaves, deterministically (s ascending, h descending lex).
 
-    The profile is None for an h whose divisor complex the cone certificate
-    of `_apex_bounds` proves a cone: its reduced homology is zero.  Such an
-    h is never built, cone-tested, looked up in or written to the cache, or
-    sent to the worker pool.  The rest are read from the cache or computed
-    by `_profile_worker`, with jobs capped at the CPU count.
+    A certified h has a cone for its divisor complex, so zero reduced
+    homology, and is never enumerated: an apex with one condition h_q >= b
+    certifies every h outside the box h_q < b, so only the box is
+    enumerated, and what the two-condition apexes certify in it is dropped.
+    The rest are read from the cache or computed by `_profile_worker`, with
+    jobs capped at the CPU count.
     """
     apexes = _cone_apexes(config)
-    work: list[tuple[int, Multidegree, bool]] = []
+    work: list[tuple[int, Multidegree]] = []
     for s in degrees:
         bounds = _apex_bounds(apexes, s)
-        for h in enumerate_degree(config, s):
-            work.append((s, h, _certified(bounds, h)))
+        below = [s * config.d + 1] * config.n
+        for (q, b), *more in bounds:
+            if not more:
+                below[q] = min(below[q], b)
+        pairs = [p for p in bounds if len(p) > 1]
+        work.extend((s, h) for h in enumerate_degree(config, s, below)
+                    if not _certified(pairs, h))
     profiles: dict[Multidegree, HomologyProfile] = {}
     missing: list[Multidegree] = []
-    for _, h, certified in work:
-        if certified:
-            continue
+    for _, h in work:
         hit = cache.get(h) if cache is not None else None
         if hit is not None:
             profiles[h] = hit
@@ -263,8 +271,8 @@ def _profiles_for_degrees(
         for h in missing:
             cache.put(h, profiles[h])
         cache.save()
-    for s, h, certified in work:
-        yield s, h, None if certified else profiles[h]
+    for s, h in work:
+        yield s, h, profiles[h]
 
 
 def graded_betti(
@@ -300,17 +308,16 @@ def graded_betti(
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
     entries = {(i, s): 0 for i in range(i_max + 1) for s in range(s_max + 1)}
-    certified = 0
+    scanned = 0
     for s, _h, profile in _profiles_for_degrees(
         config, field, list(range(s_max + 1)), cache=cache, jobs=jobs
     ):
-        if profile is None:
-            certified += 1
-            continue
+        scanned += 1
         for k, v in profile.items():
             i = k + 1
             if 0 <= i <= i_max:
                 entries[(i, s)] += v
+    certified = sum(hilbert_function(config, s) for s in range(s_max + 1)) - scanned
     return BettiTable(config=config, field=field, i_max=i_max, s_max=s_max, entries=entries,
                       certified_cones=certified)
 
@@ -332,7 +339,7 @@ def multigraded_betti(
         raise ResourceLimitExceeded(cost, budget)
     out: dict[Multidegree, int] = {}
     for _s, h, profile in _profiles_for_degrees(config, field, [t], cache=cache):
-        v = profile[i - 1] if profile is not None else 0
+        v = profile[i - 1]
         if v:
             out[h] = v
     return out

@@ -10,18 +10,20 @@ Every complex on a ground set is a subset of that set's subsets, so those
 are tabled once, size by size and only up to the largest size asked for, in
 bounded memos: `_subsets` (the masks in that order and their positions)
 and, for a generator set, `_sum_classes` (which subsets have the same
-generator sum).  A divisor complex tests h - v once per distinct sum v and
-keeps, level by level, the subsets whose sum passed.
+generator sum, and per coordinate bitmasks of those classes).  A divisor
+complex picks, level by level, the sum classes v with h - v in H by ANDing
+bitmasks and clearing the classes of the holes, and keeps their subsets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
-from functools import lru_cache, reduce
-from itertools import chain, combinations, compress
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, chain, combinations, compress
+from math import comb
 from operator import add, and_, or_, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .semigroup import (
     Multidegree,
@@ -187,53 +189,117 @@ def _subsets(ground: tuple[int, ...], f: int) -> tuple[tuple[int, ...], MappingP
     return masks, MappingProxyType(dict(zip(masks, range(len(masks)))))
 
 
-@lru_cache(maxsize=64)
-def _sum_classes(
-    ground: tuple[int, ...], gens: tuple[tuple[int, ...], ...], f: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """For the f-subsets of ground in `_subsets` order, the id of each one's
-    generator sum, and the distinct sums in id order (bounded memo).
+class _Level(NamedTuple):
+    """The sum classes of the f-subsets of a ground set: `masks` in `_subsets`
+    order, each one's class id, the distinct sums in id order with each
+    sum's id, and `at_most[j][x]`, the bitmask of the ids whose sum v has
+    v_j <= x (x up to the largest v_j)."""
+
+    masks: tuple[int, ...]
+    ids: tuple[int, ...]
+    sums: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+    at_most: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=16)
+def _sum_classes(ground: tuple[int, ...], gens: tuple[tuple[int, ...], ...]) -> list[_Level]:
+    """The `_Level` of each subset size of ground, from 0 up to the largest
+    size asked for through `_level` (bounded memo, filled on demand).
 
     gens[j] is the generator of ground[j].  A sum is the sum of the subset
     without its largest vertex plus that vertex's generator.
     """
-    if f == 0:
-        return (0,), ((0,) * len(gens[0]),)
-    prev_ids, prev_sums = _sum_classes(ground, gens, f - 1)
-    below = _subsets(ground, f - 1)[1]
+    zero = (0,) * len(gens[0])
+    return [_Level((0,), (0,), (zero,), {zero: 0}, ((1,),) * len(zero))]
+
+
+def _level(tables: list[_Level], ground: tuple[int, ...],
+           gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
+    """tables[f], after growing the `_sum_classes` list `tables` up to f."""
     gen_of = {1 << v: g for v, g in zip(ground, gens)}
-    classes: dict[tuple[int, ...], int] = {}
-    ids = []
-    for m in _subsets(ground, f)[0]:
-        top = 1 << (m.bit_length() - 1)
-        v = tuple(map(add, prev_sums[prev_ids[below[m ^ top]]], gen_of[top]))
-        ids.append(classes.setdefault(v, len(classes)))
-    return tuple(ids), tuple(classes)
+    while len(tables) <= f:
+        prev, below = tables[-1], _subsets(ground, len(tables) - 1)[1]
+        masks = _subsets(ground, len(tables))[0]
+        index: dict[tuple[int, ...], int] = {}
+        ids = []
+        for m in masks:
+            top = 1 << (m.bit_length() - 1)
+            v = tuple(map(add, prev.sums[prev.ids[below[m ^ top]]], gen_of[top]))
+            ids.append(index.setdefault(v, len(index)))
+        sums = tuple(index)
+        at_most = []
+        for j in range(len(gens[0])):
+            by_value = [0] * (max(v[j] for v in sums) + 1)
+            for i, v in enumerate(sums):
+                by_value[v[j]] |= 1 << i
+            at_most.append(tuple(accumulate(by_value, or_)))
+        tables.append(_Level(masks, tuple(ids), sums, index, tuple(at_most)))
+    return tables[f]
+
+
+_Holes = tuple[Optional[tuple[int, int]], tuple[tuple[int, ...], ...]]
+
+
+@lru_cache(maxsize=64)
+def _holes(is_hole: Callable[[tuple[int, ...]], bool], n: int, total: int) -> _Holes:
+    """The vectors r of N^n with this total that is_hole marks (bounded memo,
+    keyed by the predicate itself): (p, low) when they are exactly the
+    half-space r_p >= low (max m = d), else None and the vectors."""
+    holes = [c for c in _compositions_desc(total, n) if is_hole(c)]
+    for p in range(n if holes else 0):
+        low = min(r[p] for r in holes)
+        # the compositions of total with r_p >= low number C(total-low+n-1, n-1)
+        if len(holes) == comb(total - low + n - 1, n - 1):
+            return (p, low), ()
+    return None, tuple(holes)
+
+
+# bin() digits as bytes 0/1, so that compress reads them as truth values
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _divisor_levels(
     h: tuple[int, ...],
     ground: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
-    is_hole: Callable[[tuple[int, ...]], bool],
+    holes: Callable[[int], _Holes],
 ) -> tuple[tuple[int, ...], ...]:
     """Levels of {F in ground : h - sum(F) in H}, for h in H.
 
     `gens` holds the generator of each ground vertex, each of total d, so a
-    face has at most |h|/d vertices and no larger subset is looked at.
-    Every remainder has a total that is a multiple of d, so it is in H
-    exactly when it is non-negative and not a hole; that is decided once per
-    distinct sum, and each level keeps the subsets whose sum passed.  The
-    complex is downward closed, so the first empty level ends it.
+    face has at most |h|/d vertices and no larger subset is looked at, and
+    `holes(total)` gives the vectors of that total missing from H, as
+    `_holes` does.  Every remainder has a total that is a multiple of d, so
+    it is in H exactly when it is non-negative and not a hole.  Per level,
+    the sum classes v with v <= h are the AND of one `at_most` mask per
+    coordinate; a half-space of holes r_p >= low clears the mask of
+    v_p <= h_p - low, and each listed hole r the class h - r, where there
+    is one; the subsets of the classes left form the level.  The complex
+    is downward closed, so the first empty level ends it.
     """
+    tables = _sum_classes(ground, gens)
+    d, total = sum(gens[0]), sum(h)
     levels = [(0,)]
-    for f in range(1, min(sum(h) // sum(gens[0]), len(ground)) + 1):
-        ids, sums = _sum_classes(ground, gens, f)
-        ok = [min(r) >= 0 and not is_hole(r) for r in (tuple(map(sub, h, v)) for v in sums)]
-        level = tuple(compress(_subsets(ground, f)[0], map(ok.__getitem__, ids)))
-        if not level:
+    for f in range(1, min(total // d, len(ground)) + 1):
+        masks, ids, _, index, at_most = (
+            tables[f] if f < len(tables) else _level(tables, ground, gens, f))
+        ok = (1 << len(index)) - 1
+        for x, row in zip(h, at_most):
+            if x < len(row):
+                ok &= row[x]
+        half, points = holes(total - f * d)
+        if half and h[half[0]] >= half[1]:
+            x, row = h[half[0]] - half[1], at_most[half[0]]
+            ok &= ~row[min(x, len(row) - 1)]
+        for r in points:
+            cid = index.get(tuple(map(sub, h, r)))
+            if cid is not None:
+                ok &= ~(1 << cid)
+        if not ok:
             break
-        levels.append(level)
+        flags = bin(ok)[:1:-1].encode().translate(_BITS).ljust(len(index), b"\0")
+        levels.append(tuple(compress(masks, map(flags.__getitem__, ids))))
     return tuple(levels)
 
 
@@ -244,7 +310,7 @@ def build_divisor_complex(h, config: PinchConfig) -> SimplicialComplex:
     ground = tuple(range(len(gens)))
     levels = ()
     if is_member_closed(h, config):
-        levels = _divisor_levels(h, ground, gens, _hole_test(config))
+        levels = _divisor_levels(h, ground, gens, partial(_holes, _hole_test(config), config.n))
     return SimplicialComplex(ground, levels=levels)
 
 
@@ -262,7 +328,7 @@ def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     gens = veronese_generators(n, d)
     ground = tuple(range(len(gens)))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = (_divisor_levels(h, ground, gens, lambda r: False)
+    levels = (_divisor_levels(h, ground, gens, lambda total: (None, ()))
               if h.total % d == 0 else ())
     return SimplicialComplex(ground, levels=levels)
 

@@ -178,9 +178,9 @@ def _compute_profile(c: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     ranks = {}
     cleared: set[int] = set()
     for k in range(c.dim, -1, -1):
-        rows, ncols = boundary_matrix(cells, k, skip=cleared)
-        cleared = pivot_columns(rows, ncols, field)
-        del rows
+        # a map from or to no cells has rank 0
+        cleared = (pivot_columns(*boundary_matrix(cells, k, skip=cleared), field)
+                   if cells[k] and cells[k + 1] else set())
         ranks[k] = len(cleared)
     return HomologyProfile({
         k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -42,6 +42,11 @@ class FieldSpec(_FieldFields):
         return super().__new__(cls, p)
 
     @classmethod
+    def _make(cls, iterable) -> "FieldSpec":
+        # the NamedTuple default (and `_replace`, which calls it) skips __new__
+        return cls(*iterable)
+
+    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         t = text.strip().lower()
         if t in ("q", "qq", "rationals", "rational", "0"):

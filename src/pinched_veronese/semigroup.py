@@ -60,13 +60,20 @@ class Multidegree(tuple):
         return Multidegree(self[p] for p in perm)
 
 
-def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # descending lexicographic order: (total,0,...,0) first
+def _compositions_desc(
+    total: int, parts: int, caps: Optional[Sequence[int]] = None
+) -> Iterator[tuple[int, ...]]:
+    # descending lexicographic order: (total,0,...,0) first; with caps, only
+    # the compositions c with c_j <= caps[j] at every j
+    if caps is None:
+        caps = (total,) * parts
     if parts == 1:
-        yield (total,)
+        if total <= caps[0]:
+            yield (total,)
         return
-    for head in range(total, -1, -1):
-        for rest in _compositions_desc(total - head, parts - 1):
+    room = sum(caps[1:])
+    for head in range(min(total, caps[0]), max(0, total - room) - 1, -1):
+        for rest in _compositions_desc(total - head, parts - 1, caps[1:]):
             yield (head,) + rest
 
 
@@ -98,6 +105,11 @@ class PinchConfig(_PinchFields):
         if m.total != d:
             raise ValueError(f"pinch vector {m} has total degree {m.total}, expected d={d}")
         return super().__new__(cls, n, d, m)
+
+    @classmethod
+    def _make(cls, iterable) -> "PinchConfig":
+        # the NamedTuple default (and `_replace`, which calls it) skips __new__
+        return cls(*iterable)
 
     @classmethod
     def from_pinch_index(cls, d: int, i: int) -> "PinchConfig":
@@ -214,16 +226,18 @@ def is_member_bruteforce(h, config: PinchConfig, degree_cap: int | None = None) 
     return member(tuple(h))
 
 
-def enumerate_degree(config: PinchConfig, t: int) -> list[Multidegree]:
-    """All semigroup elements of total degree t*d, descending lex."""
+def enumerate_degree(
+    config: PinchConfig, t: int, below: Optional[Sequence[int]] = None
+) -> list[Multidegree]:
+    """All semigroup elements of total degree t*d, descending lex; with
+    `below`, only those h with h_q < below[q] at every q."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return [Multidegree((0,) * config.n)]
     hole = _hole_test(config)
+    caps = None if below is None else [b - 1 for b in below]
     # compositions are tuples of non-negative ints already: skip re-validation
     return [tuple.__new__(Multidegree, c)
-            for c in _compositions_desc(t * config.d, config.n) if not hole(c)]
+            for c in _compositions_desc(t * config.d, config.n, caps) if not hole(c)]
 
 
 def is_normal(config: PinchConfig) -> bool:

@@ -8,6 +8,7 @@ the certificate settles, and check that the profile cache neither needs nor
 stores their profiles.
 """
 
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -17,12 +18,15 @@ import pytest
 from pinched_veronese import (
     DEFAULT_FIELD,
     HomologyCache,
+    HomologyProfile,
     Multidegree,
     PinchConfig,
     build_divisor_complex,
     enumerate_degree,
     graded_betti,
+    hilbert_function,
 )
+from pinched_veronese import betti
 from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes, _profiles_for_degrees
 from pinched_veronese.cache import ENGINE
 from test_cli_golden import DATA as GOLDEN, run
@@ -109,13 +113,42 @@ def test_certified_count_stays_out_of_json():
 @pytest.mark.parametrize("d", range(4, 10))
 def test_guard_column_is_proved_zero_on_interior_configs(d):
     # every h of the default guard degree s_max = N+1 is a certified cone, so
-    # the all-zero guard column that `classify` demands is a theorem there
+    # none is scanned, and the all-zero guard column that `classify` demands
+    # is a theorem there
     for i in range(2, d - 1):
         config = PinchConfig.from_pinch_index(d, i)
         s = config.N + 1
-        scanned = list(_profiles_for_degrees(config, DEFAULT_FIELD, [s]))
-        assert len(scanned) == len(enumerate_degree(config, s)) > 0
-        assert all(profile is None for _s, _h, profile in scanned)
+        assert list(_profiles_for_degrees(config, DEFAULT_FIELD, [s])) == []
+        assert (len(certified(config, s)) == hilbert_function(config, s)
+                == len(enumerate_degree(config, s)) > 0)
+
+
+# -- the scanned elements -----------------------------------------------------
+
+
+def pinches(n, d):
+    return [m for m in itertools.product(range(d + 1), repeat=n) if sum(m) == d]
+
+
+@pytest.mark.parametrize("n, d, s_max", [
+    *((2, d, None) for d in range(2, 7)),
+    *((3, d, None) for d in (2, 3, 4)),
+    (4, 2, 8), (4, 3, 8),
+])
+def test_scan_enumerates_exactly_the_uncertified_elements(monkeypatch, n, d, s_max):
+    # every pinch vector, permuted ones too; s <= N+2 unless given.  The
+    # scan enumerates only the box that the one-condition apexes leave, and
+    # must still meet the elements outside the certificate, in scan order
+    monkeypatch.setattr(betti, "_profile_worker", lambda args: HomologyProfile())
+    for m in pinches(n, d):
+        config = cfg(n, d, m)
+        top = config.N + 2 if s_max is None else s_max
+        scanned = [(s, h) for s, h, _ in
+                   _profiles_for_degrees(config, DEFAULT_FIELD, list(range(top + 1)))]
+        expected = [(s, h) for s in range(top + 1)
+                    for bounds in [_apex_bounds(_cone_apexes(config), s)]
+                    for h in enumerate_degree(config, s) if not _certified(bounds, h)]
+        assert scanned == expected, config
 
 
 # -- the profile cache --------------------------------------------------------

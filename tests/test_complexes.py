@@ -237,9 +237,11 @@ def test_decomposition_matches_subset_by_subset_reference(d):
 
 def test_decomposition_fails_on_a_wrong_pinched_complex(monkeypatch):
     # with every remainder a hole the pinched complex is {empty face}, and
-    # the union misses the faces away from the pinched vertex
+    # the union misses the faces away from the pinched vertex; the check
+    # passes first, so no memo may keep the holes it read then
     from pinched_veronese import complexes
 
+    assert decomposition_check(Multidegree((10, 10)), 5, 2)
     monkeypatch.setattr(complexes, "_hole_test", lambda config: lambda r: True)
     assert not decomposition_check(Multidegree((10, 10)), 5, 2)
 
@@ -280,26 +282,60 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
 # -- the shared subset tables -------------------------------------------------
 
 
+MEMOS = ("_subsets", "_sum_classes", "_holes")
+
+
+def clear_memos():
+    from pinched_veronese import complexes
+
+    for name in MEMOS:
+        getattr(complexes, name).cache_clear()
+
+
 def test_tables_hold_no_subset_size_above_the_degree():
-    # every memo entry is one subset size of this one ground set
+    # every memo entry is one subset size of this one ground set, one list of
+    # per-size sum classes, or the holes of one remainder total
     from pinched_veronese import complexes, reduced_homology
 
-    memos = (complexes._subsets, complexes._sum_classes)
-    for memo in memos:
-        memo.cache_clear()
+    clear_memos()
     config = cfg(2, 8, (3, 5))
+    gens = generate_generators(config)
     for s in (1, 3, 5):
         for h in enumerate_degree(config, s):
             reduced_homology(build_divisor_complex(h, config))
-        assert all(memo.cache_info().currsize <= s + 1 for memo in memos), s
+        for name in MEMOS:
+            assert getattr(complexes, name).cache_info().currsize <= s + 1, (name, s)
+        assert complexes._sum_classes.cache_info().currsize == 1
+        assert len(complexes._sum_classes(tuple(range(len(gens))), gens)) <= s + 1, s
     assert complexes._subsets.cache_info().currsize == 6  # sizes 0..5 were asked for
+    assert len(complexes._sum_classes(tuple(range(len(gens))), gens)) == 6
+    # the remainders of a degree-5 element have totals 0, 8, ..., 32
+    assert complexes._holes.cache_info().currsize == 5
+
+
+def test_holes_are_read_off_the_hole_test():
+    # a max=d pinch at p misses the half-space r_p > t(d-1) of each degree
+    # t, which is cleared by one mask; other classes list their holes
+    from pinched_veronese.complexes import _holes
+    from pinched_veronese.semigroup import _hole_test
+
+    def holes(m, total):
+        return _holes(_hole_test(cfg(len(m), sum(m), m)), len(m), total)
+
+    assert holes((0, 3, 0), 6) == ((1, 5), ())
+    assert holes((3, 0), 9) == ((0, 7), ())
+    assert holes((2, 1, 0), 9) == (None, ((8, 1, 0),))
+    assert holes((1, 1), 6) == (None, ((5, 1), (3, 3), (1, 5)))
+    assert holes((1, 1, 1), 3) == (None, ((1, 1, 1),))
+    assert holes((1, 1, 1), 6) == holes((3, 0, 0), 0) == (None, ())
+    assert _holes(lambda r: True, 2, 4) == ((0, 0), ())
 
 
 def test_profiles_do_not_depend_on_other_tables():
     # the same levels and profiles before and after other configurations
     # (sharing the ground set, or not) have built their tables, and again
     # once every table is rebuilt from an empty memo
-    from pinched_veronese import complexes, reduced_homology
+    from pinched_veronese import reduced_homology
 
     config = cfg(2, 6, (2, 4))
     hs = enumerate_degree(config, 4)
@@ -308,16 +344,16 @@ def test_profiles_do_not_depend_on_other_tables():
         return [(build_divisor_complex(h, config).levels,
                  reduced_homology(build_divisor_complex(h, config))) for h in hs]
 
-    for memo in (complexes._subsets, complexes._sum_classes):
-        memo.cache_clear()
+    clear_memos()
     before = profiles()
     for other in (cfg(2, 6, (6, 0)), cfg(2, 6, (5, 1)), cfg(2, 7, (3, 4)),
-                  cfg(3, 3, (2, 1, 0)), cfg(2, 5, (2, 3)), cfg(2, 4, (2, 2))):
+                  cfg(3, 3, (2, 1, 0)), cfg(2, 5, (2, 3)), cfg(2, 4, (2, 2)),
+                  cfg(2, 2, (1, 1))):
         for h in enumerate_degree(other, 4):
             reduced_homology(build_divisor_complex(h, other))
+        build_veronese_complex(Multidegree((12, 12)), 2, 6)
     assert profiles() == before
-    for memo in (complexes._subsets, complexes._sum_classes):
-        memo.cache_clear()
+    clear_memos()
     assert profiles() == before
 
 

@@ -116,6 +116,26 @@ def test_validation_messages(make, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: PinchConfig(2, 3, (1, 2))._replace(d=7),
+     "pinch vector (1, 2) has total degree 3, expected d=7"),
+    (lambda: PinchConfig._make((1, 3, (3,))), "n must be >= 2, got 1"),
+    (lambda: FieldSpec._make((4,)), "4 is not prime"),
+    (lambda: GF2._replace(p=6), "6 is not prime"),
+], ids=("config-replace", "config-make", "field-make", "field-replace"))
+def test_namedtuple_helpers_validate_like_the_constructor(make, message):
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message
+
+
+def test_namedtuple_helpers_build_valid_records():
+    config = PinchConfig(2, 3, (1, 2))._replace(d=4, m=(3, 1))
+    assert config == cfg(2, 4, (3, 1)) and type(config.m) is Multidegree
+    assert PinchConfig._make([3, 2, [1, 1, 0]]) == cfg(3, 2, (1, 1, 0))
+    assert FieldSpec._make((5,)) == FieldSpec(5) and RATIONALS._replace(p=2) == GF2
+
+
 def test_catalogs_without_errata_do_not_share_a_dict():
     a, b = catalog(), catalog()
     assert a.errata == {} and a.errata_details == {}
