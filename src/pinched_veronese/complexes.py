@@ -191,13 +191,12 @@ def _subsets(ground: tuple[int, ...], f: int) -> tuple[tuple[int, ...], MappingP
 
 class _Level(NamedTuple):
     """The sum classes of the f-subsets of a ground set: `masks` in `_subsets`
-    order, each one's class id, the distinct sums in id order with each
-    sum's id, and `at_most[j][x]`, the bitmask of the ids whose sum v has
-    v_j <= x (x up to the largest v_j)."""
+    order, each one's class id, the id of each distinct sum (in id order),
+    and `at_most[j][x]`, the bitmask of the ids whose sum v has v_j <= x (x
+    up to the largest v_j)."""
 
     masks: tuple[int, ...]
     ids: tuple[int, ...]
-    sums: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int]
     at_most: tuple[tuple[int, ...], ...]
 
@@ -211,7 +210,7 @@ def _sum_classes(ground: tuple[int, ...], gens: tuple[tuple[int, ...], ...]) -> 
     without its largest vertex plus that vertex's generator.
     """
     zero = (0,) * len(gens[0])
-    return [_Level((0,), (0,), (zero,), {zero: 0}, ((1,),) * len(zero))]
+    return [_Level((0,), (0,), {zero: 0}, ((1,),) * len(zero))]
 
 
 def _level(tables: list[_Level], ground: tuple[int, ...],
@@ -220,21 +219,21 @@ def _level(tables: list[_Level], ground: tuple[int, ...],
     gen_of = {1 << v: g for v, g in zip(ground, gens)}
     while len(tables) <= f:
         prev, below = tables[-1], _subsets(ground, len(tables) - 1)[1]
+        prev_sums = tuple(prev.index)
         masks = _subsets(ground, len(tables))[0]
         index: dict[tuple[int, ...], int] = {}
         ids = []
         for m in masks:
             top = 1 << (m.bit_length() - 1)
-            v = tuple(map(add, prev.sums[prev.ids[below[m ^ top]]], gen_of[top]))
+            v = tuple(map(add, prev_sums[prev.ids[below[m ^ top]]], gen_of[top]))
             ids.append(index.setdefault(v, len(index)))
-        sums = tuple(index)
         at_most = []
         for j in range(len(gens[0])):
-            by_value = [0] * (max(v[j] for v in sums) + 1)
-            for i, v in enumerate(sums):
+            by_value = [0] * (max(v[j] for v in index) + 1)
+            for i, v in enumerate(index):
                 by_value[v[j]] |= 1 << i
             at_most.append(tuple(accumulate(by_value, or_)))
-        tables.append(_Level(masks, tuple(ids), sums, index, tuple(at_most)))
+        tables.append(_Level(masks, tuple(ids), index, tuple(at_most)))
     return tables[f]
 
 
@@ -282,7 +281,7 @@ def _divisor_levels(
     d, total = sum(gens[0]), sum(h)
     levels = [(0,)]
     for f in range(1, min(total // d, len(ground)) + 1):
-        masks, ids, _, index, at_most = (
+        masks, ids, index, at_most = (
             tables[f] if f < len(tables) else _level(tables, ground, gens, f))
         ok = (1 << len(index)) - 1
         for x, row in zip(h, at_most):
