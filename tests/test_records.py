@@ -109,21 +109,15 @@ def test_pickle_round_trips_the_worker_arguments():
     (lambda: PinchConfig(2, 3, (1, 1)), "pinch vector (1, 1) has total degree 2, expected d=3"),
     (lambda: FieldSpec(4), "4 is not prime"),
     (lambda: FieldSpec.parse("gf(1)"), "1 is not prime"),
-], ids=("n", "d", "pinch-length", "pinch-total", "field", "parsed-field"))
-def test_validation_messages(make, message):
-    with pytest.raises(ValueError) as excinfo:
-        make()
-    assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize("make, message", [
+    # the NamedTuple helpers validate as the constructor does
     (lambda: PinchConfig(2, 3, (1, 2))._replace(d=7),
      "pinch vector (1, 2) has total degree 3, expected d=7"),
     (lambda: PinchConfig._make((1, 3, (3,))), "n must be >= 2, got 1"),
     (lambda: FieldSpec._make((4,)), "4 is not prime"),
     (lambda: GF2._replace(p=6), "6 is not prime"),
-], ids=("config-replace", "config-make", "field-make", "field-replace"))
-def test_namedtuple_helpers_validate_like_the_constructor(make, message):
+], ids=("n", "d", "pinch-length", "pinch-total", "field", "parsed-field",
+        "config-replace", "config-make", "field-make", "field-replace"))
+def test_validation_messages(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
     assert str(excinfo.value) == message
