@@ -231,11 +231,12 @@ def _profiles_for_degrees(
     `_apex_bounds` leaves, deterministically (s ascending, h descending lex).
 
     A certified h has a cone for its divisor complex, so zero reduced
-    homology, and is never enumerated: an apex with one condition h_q >= b
-    certifies every h outside the box h_q < b, so only the box is
-    enumerated, and what the two-condition apexes certify in it is dropped.
-    The rest are read from the cache or computed by `_profile_worker`, with
-    jobs capped at the CPU count.
+    homology; it is never built, looked up in or written to the cache, or
+    sent to the worker pool.  An apex with one condition h_q >= b certifies
+    every h outside the box h_q < b, so only the box is enumerated, and
+    what the two-condition apexes certify in it is dropped.  The rest are
+    read from the cache or computed by `_profile_worker`, with jobs capped
+    at the CPU count.
     """
     apexes = _cone_apexes(config)
     work: list[tuple[int, Multidegree]] = []
