@@ -8,11 +8,11 @@ tuples, and always includes the empty face (mask 0) when it is non-void.
 
 Every complex on a ground set is a subset of that set's subsets, so those
 are tabled once, size by size and only up to the largest size asked for, in
-bounded memos: `_subsets` (the masks in that order and their positions)
-and, for a generator set, `_sum_classes` (which subsets have the same
-generator sum, and per coordinate bitmasks of those classes).  A divisor
-complex picks, level by level, the sum classes v with h - v in H by ANDing
-bitmasks and clearing the classes of the holes, and keeps their subsets.
+bounded memos: `_subsets` (the masks in that order) and, for a generator
+set, `_sum_classes` (which subsets have the same generator sum, and per
+coordinate bitmasks of those classes).  A divisor complex picks, level by
+level, the sum classes v with h - v in H by ANDing bitmasks and clearing
+the classes of the holes, and keeps their subsets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, combinations, compress
 from math import comb
 from operator import add, and_, or_, sub
-from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .semigroup import (
@@ -182,18 +181,17 @@ class SimplicialComplex:
 
 
 @lru_cache(maxsize=64)
-def _subsets(ground: tuple[int, ...], f: int) -> tuple[tuple[int, ...], MappingProxyType]:
+def _subsets(ground: tuple[int, ...], f: int) -> tuple[int, ...]:
     """The masks of the f-subsets of ground in lexicographic order of their
-    sorted vertex tuples, and each mask's position there (bounded memo)."""
-    masks = tuple(map(sum, combinations([1 << v for v in ground], f)))
-    return masks, MappingProxyType(dict(zip(masks, range(len(masks)))))
+    sorted vertex tuples (bounded memo)."""
+    return tuple(map(sum, combinations([1 << v for v in ground], f)))
 
 
 class _Level(NamedTuple):
-    """The sum classes of the f-subsets of a ground set: `masks` in `_subsets`
-    order, each one's class id, the id of each distinct sum (in id order),
-    and `at_most[j][x]`, the bitmask of the ids whose sum v has v_j <= x (x
-    up to the largest v_j)."""
+    """The sum classes of the f-subsets of the vertices 0..k-1: `masks` in
+    `_subsets` order, each one's class id, the id of each distinct sum (in id
+    order), and `at_most[j][x]`, the bitmask of the ids whose sum v has v_j <=
+    x (x up to the largest v_j)."""
 
     masks: tuple[int, ...]
     ids: tuple[int, ...]
@@ -202,38 +200,40 @@ class _Level(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _sum_classes(ground: tuple[int, ...], gens: tuple[tuple[int, ...], ...]) -> list[_Level]:
-    """The `_Level` of each subset size of ground, from 0 up to the largest
-    size asked for through `_level` (bounded memo, filled on demand).
-
-    gens[j] is the generator of ground[j].  A sum is the sum of the subset
-    without its largest vertex plus that vertex's generator.
-    """
+def _sum_classes(gens: tuple[tuple[int, ...], ...]) -> list[_Level]:
+    """The `_Level` of each subset size of the vertices 0..len(gens)-1, vertex
+    j having generator gens[j], from 0 up to the largest size asked for
+    through `_level` (bounded memo, filled on demand)."""
     zero = (0,) * len(gens[0])
     return [_Level((0,), (0,), {zero: 0}, ((1,),) * len(zero))]
 
 
-def _level(tables: list[_Level], ground: tuple[int, ...],
-           gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
-    """tables[f], after growing the `_sum_classes` list `tables` up to f."""
-    gen_of = {1 << v: g for v, g in zip(ground, gens)}
+def _level(tables: list[_Level], gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
+    """tables[f], after growing the `_sum_classes` list `tables` up to f.
+
+    In lexicographic order, the f-subsets of 0..k-1 are the (f-1)-subsets
+    in their order, each extended in turn by every vertex above its largest
+    one.  So walking the level below that way lists the f-subsets in
+    `_subsets` order, each sum being its parent's plus the generator of the
+    vertex added.
+    """
+    ground = tuple(range(len(gens)))
     while len(tables) <= f:
-        prev, below = tables[-1], _subsets(ground, len(tables) - 1)[1]
+        prev = tables[-1]
         prev_sums = tuple(prev.index)
-        masks = _subsets(ground, len(tables))[0]
         index: dict[tuple[int, ...], int] = {}
         ids = []
-        for m in masks:
-            top = 1 << (m.bit_length() - 1)
-            v = tuple(map(add, prev_sums[prev.ids[below[m ^ top]]], gen_of[top]))
-            ids.append(index.setdefault(v, len(index)))
+        for pm, pid in zip(prev.masks, prev.ids):
+            s = prev_sums[pid]
+            for g in gens[pm.bit_length():]:
+                ids.append(index.setdefault(tuple(map(add, s, g)), len(index)))
         at_most = []
         for j in range(len(gens[0])):
             by_value = [0] * (max(v[j] for v in index) + 1)
             for i, v in enumerate(index):
                 by_value[v[j]] |= 1 << i
             at_most.append(tuple(accumulate(by_value, or_)))
-        tables.append(_Level(masks, tuple(ids), index, tuple(at_most)))
+        tables.append(_Level(_subsets(ground, len(tables)), tuple(ids), index, tuple(at_most)))
     return tables[f]
 
 
@@ -260,13 +260,12 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 def _divisor_levels(
     h: tuple[int, ...],
-    ground: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
     holes: Callable[[int], _Holes],
 ) -> tuple[tuple[int, ...], ...]:
-    """Levels of {F in ground : h - sum(F) in H}, for h in H.
+    """Levels of {F : h - sum(F) in H}, for h in H.
 
-    `gens` holds the generator of each ground vertex, each of total d, so a
+    `gens` holds the generator of each vertex, each of total d, so a
     face has at most |h|/d vertices and no larger subset is looked at, and
     `holes(total)` gives the vectors of that total missing from H, as
     `_holes` does.  Every remainder has a total that is a multiple of d, so
@@ -277,12 +276,11 @@ def _divisor_levels(
     is one; the subsets of the classes left form the level.  The complex
     is downward closed, so the first empty level ends it.
     """
-    tables = _sum_classes(ground, gens)
+    tables = _sum_classes(gens)
     d, total = sum(gens[0]), sum(h)
     levels = [(0,)]
-    for f in range(1, min(total // d, len(ground)) + 1):
-        masks, ids, index, at_most = (
-            tables[f] if f < len(tables) else _level(tables, ground, gens, f))
+    for f in range(1, min(total // d, len(gens)) + 1):
+        masks, ids, index, at_most = tables[f] if f < len(tables) else _level(tables, gens, f)
         ok = (1 << len(index)) - 1
         for x, row in zip(h, at_most):
             if x < len(row):
@@ -309,7 +307,7 @@ def build_divisor_complex(h, config: PinchConfig) -> SimplicialComplex:
     ground = tuple(range(len(gens)))
     levels = ()
     if is_member_closed(h, config):
-        levels = _divisor_levels(h, ground, gens, partial(_holes, _hole_test(config), config.n))
+        levels = _divisor_levels(h, gens, partial(_holes, _hole_test(config), config.n))
     return SimplicialComplex(ground, levels=levels)
 
 
@@ -327,7 +325,7 @@ def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     gens = veronese_generators(n, d)
     ground = tuple(range(len(gens)))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = (_divisor_levels(h, ground, gens, lambda total: (None, ()))
+    levels = (_divisor_levels(h, gens, lambda total: (None, ()))
               if h.total % d == 0 else ())
     return SimplicialComplex(ground, levels=levels)
 
@@ -357,7 +355,7 @@ def alexander_dual(
     vertices = tuple(sorted(set(sup)))
     levels = []
     for j in range(len(vertices) + 1):
-        level = tuple(g for g in _subsets(vertices, j)[0] if full ^ g not in masks)
+        level = tuple(g for g in _subsets(vertices, j) if full ^ g not in masks)
         if not level:
             break
         levels.append(level)

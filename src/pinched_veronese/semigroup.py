@@ -272,7 +272,8 @@ def is_cohen_macaulay(config: PinchConfig) -> bool:
     """The paper's characterization: k[H] is Cohen-Macaulay exactly when
     max m = d, or max m = d-1 with n = 2.  For n >= 3 that is the normal
     class (`is_normal`; normal implies CM by Hochster, Ann. Math. 1972).
-    It fails at d = 2, n >= 3, max m = 1, which `witness_non_cm` refuses:
-    the computed table of n=3 m=(1,1,0) reads Cohen-Macaulay."""
+    It fails at d = 2, n = 3, max m = 1, which `witness_non_cm` refuses:
+    the computed table of m=(1,1,0) reads Cohen-Macaulay.  At n = 4 the
+    observed table of m=(1,1,0,0) (s <= 11) agrees with it: pdim 6 > 5."""
     cls = config.pinch_class
     return cls is PinchClass.MAX_D or (cls is PinchClass.MAX_D_MINUS_1 and config.n == 2)

@@ -227,23 +227,7 @@ class Check(NamedTuple):
         return self.passed is not None
 
     def to_json_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "detail": self.detail,
-            "passed": self.passed,
-            "expected": _jsonable(self.expected),
-            "actual": _jsonable(self.actual),
-        }
-
-
-def _jsonable(x):
-    if isinstance(x, (int, str, bool, type(None), float)):
-        return x
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return str(x)
+        return self._asdict()
 
 
 class VerificationReport:

@@ -306,11 +306,31 @@ def test_tables_hold_no_subset_size_above_the_degree():
         for name in MEMOS:
             assert getattr(complexes, name).cache_info().currsize <= s + 1, (name, s)
         assert complexes._sum_classes.cache_info().currsize == 1
-        assert len(complexes._sum_classes(tuple(range(len(gens))), gens)) <= s + 1, s
-    assert complexes._subsets.cache_info().currsize == 6  # sizes 0..5 were asked for
-    assert len(complexes._sum_classes(tuple(range(len(gens))), gens)) == 6
+        assert len(complexes._sum_classes(gens)) <= s + 1, s
+    assert complexes._subsets.cache_info().currsize == 5  # sizes 1..5 were asked for
+    assert len(complexes._sum_classes(gens)) == 6
     # the remainders of a degree-5 element have totals 0, 8, ..., 32
     assert complexes._holes.cache_info().currsize == 5
+
+
+@pytest.mark.parametrize("config", [cfg(2, 9, (4, 5)), cfg(3, 4, (2, 1, 1)), cfg(4, 3, (2, 1, 0, 0))])
+def test_sum_class_levels_follow_the_subsets_in_lexicographic_order(config):
+    # each level is grown from the one below; its masks must come in
+    # combinations order and each class must hold the sum of its subset
+    from pinched_veronese.complexes import _level, _sum_classes
+
+    gens = generate_generators(config)
+    tables = _sum_classes(gens)
+    _level(tables, gens, 6)
+    for f in range(7):
+        level = tables[f]
+        subsets = list(itertools.combinations(range(len(gens)), f))
+        assert level.masks == tuple(sum(1 << v for v in sub) for sub in subsets), f
+        assert len(level.ids) == len(subsets), f
+        sums = tuple(level.index)
+        for p, sub in enumerate(subsets):
+            want = tuple(sum(gens[v][j] for v in sub) for j in range(config.n))
+            assert sums[level.ids[p]] == want, (f, sub)
 
 
 def test_holes_are_read_off_the_hole_test():
