@@ -33,7 +33,7 @@ from .homology import (
     euler_characteristic_matches,
     reduced_homology,
 )
-from .linalg import DEFAULT_FIELD, GF2, RATIONALS, FieldSpec, matrix_rank
+from .linalg import DEFAULT_FIELD, GF2, RATIONALS, FieldSpec
 from .semigroup import (
     Multidegree,
     PinchClass,
@@ -115,7 +115,6 @@ __all__ = [
     "is_normal",
     "k_polynomial_check",
     "link",
-    "matrix_rank",
     "multigraded_betti",
     "reduced_homology",
     "verify",

@@ -8,6 +8,7 @@ certified table.
 
 from __future__ import annotations
 
+import atexit
 import os
 from itertools import accumulate
 from math import comb
@@ -220,6 +221,23 @@ def _certified(bounds: list[list[tuple[int, int]]], h: Multidegree) -> bool:
     return any(all(h[q] >= b for q, b in pairs) for pairs in bounds)
 
 
+_pool = None  # (jobs, executor): this process's one worker pool, once started
+
+
+def _worker_pool(jobs: int):
+    """The pool of `jobs` workers that later scans reuse, so a sweep starts
+    its workers once; one of another size is shut down first, the last at exit."""
+    global _pool
+    if _pool is None or _pool[0] != jobs:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = (jobs, ProcessPoolExecutor(max_workers=jobs))
+        atexit.register(_pool[1].shutdown)
+    return _pool[1]
+
+
 def _profiles_for_degrees(
     config: PinchConfig,
     field: FieldSpec,
@@ -236,7 +254,7 @@ def _profiles_for_degrees(
     every h outside the box h_q < b, so only the box is enumerated, and
     what the two-condition apexes certify in it is dropped.  The rest are
     read from the cache or computed by `_profile_worker`, with jobs capped
-    at the CPU count.
+    at the CPU count; more than one job runs on `_worker_pool`.
     """
     apexes = _cone_apexes(config)
     work: list[tuple[int, Multidegree]] = []
@@ -260,11 +278,8 @@ def _profiles_for_degrees(
     jobs = min(jobs, os.cpu_count() or 1)
     args = [(config, field, h) for h in missing]
     if jobs > 1 and len(missing) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_profile_worker, args,
-                                    chunksize=max(1, len(missing) // (4 * jobs))))
+        results = list(_worker_pool(jobs).map(
+            _profile_worker, args, chunksize=max(1, len(missing) // (4 * jobs))))
     else:
         results = map(_profile_worker, args)
     profiles.update(zip(missing, results))
@@ -395,15 +410,8 @@ def classify(table: BettiTable) -> ClassificationReport:
         else:
             break
     observed_regularity = max((s - i for i, s, _v in nonzero), default=0)
-    return ClassificationReport(
-        pdim=pdim,
-        depth=depth,
-        krull_dim=config.n,
-        is_cm=is_cm,
-        is_gorenstein=is_gorenstein,
-        linearity_index=linearity_index,
-        observed_regularity=observed_regularity,
-    )
+    return ClassificationReport(pdim, depth, config.n, is_cm, is_gorenstein,
+                                linearity_index, observed_regularity)
 
 
 class NonCmWitness(NamedTuple):
@@ -440,9 +448,7 @@ def witness_non_cm(
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
     if cls is PinchClass.INTERIOR:
-        h = Multidegree((0,) * config.n)
-        for g in veronese_generators(config.n, config.d):
-            h = h + g
+        h = sum(veronese_generators(config.n, config.d), Multidegree((0,) * config.n))
         k = config.N - 3
         index = config.N - 2
     else:
@@ -451,9 +457,7 @@ def witness_non_cm(
         avoid = {config.m, top}
         gens = generate_generators(config)
         chosen = [g for g in gens if g not in avoid][: config.N - config.n + 1]
-        h = config.m
-        for g in chosen:
-            h = h + g
+        h = sum(chosen, config.m)
         k = config.N - config.n - 1
         index = config.N - config.n
     dim = reduced_homology(build_divisor_complex(h, config), field)[k]

@@ -15,8 +15,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
-from pathlib import Path
 from typing import Optional
 
 from .homology import HomologyProfile
@@ -41,7 +39,7 @@ def _field_tag(field: FieldSpec) -> str:
 
 
 @contextlib.contextmanager
-def _locked(directory: Path):
+def _locked(directory):
     """Hold an exclusive advisory lock on the directory, so that the saves of
     every process into it run one at a time."""
     if fcntl is None:
@@ -57,6 +55,7 @@ def _locked(directory: Path):
 
 class HomologyCache:
     def __init__(self, directory, config: PinchConfig, field: FieldSpec):
+        from pathlib import Path  # as tempfile in save: runs with no cache skip both
         self.config = config
         self.field = field
         norm_m, perm = config.normalization()
@@ -110,6 +109,7 @@ class HomologyCache:
         writers saved to the file since it was loaded; this instance's win."""
         if not self._dirty:
             return
+        import tempfile
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with _locked(self.path.parent):
             self._profiles = {**self._load(), **self._profiles}

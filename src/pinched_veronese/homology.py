@@ -3,7 +3,7 @@
 The augmented chain complex includes the empty face in degree -1, so the
 complex {[]} has one-dimensional homology in degree -1 and the divisor
 complex of 0 yields the Betti number 1 in homological degree 0.  Profiles
-come from the excision pair of one vertex, with boundary rows built per cell.
+are reduced from the cells of one vertex's excision pair, row by row.
 """
 
 from __future__ import annotations
@@ -71,22 +71,21 @@ class HomologyProfile:
 
 
 def boundary_matrix(
-    c: SimplicialComplex | Sequence[Sequence[int]], k: int, skip: AbstractSet[int] = frozenset()
-) -> tuple[list[dict[int, int]], int]:
-    """Sparse matrix of the boundary map from k-cells to (k-1)-cells.
+    levels: Sequence[Sequence[int]], k: int, skip: AbstractSet[int] = frozenset()
+) -> list[dict[int, int]]:
+    """Sparse rows of the boundary map from k-cells to (k-1)-cells.
 
-    c is a complex or the cells of a pair: masks by size in lexicographic
-    order, as `SimplicialComplex.levels`.  Row r, built on demand, is
-    {column: +-1} for the r-th cell with k+1 vertices; column j is the j-th
-    cell one size down, and a face that is not a cell has none, so this is
-    the full boundary of a complex and the relative one of a pair.  Removing
-    the j-th smallest vertex has sign (-1)^j; degree -1 is the span of the
-    empty face.  The rows at the positions in `skip` are left out.
+    levels holds masks by size in lexicographic order: a complex's `levels`
+    or a pair's cells.  Row r, built on demand, is {column: +-1} for the r-th
+    cell with k+1 vertices; column j is the j-th cell one size down, and a
+    face that is not a cell has none, so this is the full boundary of a
+    complex and the relative one of a pair.  Removing the j-th smallest
+    vertex has sign (-1)^j; degree -1 is the span of the empty face.  The
+    rows at `skip` are left out, and where there is no map there are none.
     """
-    levels = c.levels if isinstance(c, SimplicialComplex) else c
-    below = {m: j for j, m in enumerate(levels[k])} if 0 <= k < len(levels) else {}
-    if not 0 <= k + 1 < len(levels):
-        return [], len(below)
+    if not 0 <= k < len(levels) - 1:
+        return []
+    below = {m: j for j, m in enumerate(levels[k])}
     rows = []
     for r, m in enumerate(levels[k + 1]):
         if r not in skip:
@@ -97,7 +96,7 @@ def boundary_matrix(
                     row[j] = sign
                 sign, rest = -sign, rest ^ v
             rows.append(row)
-    return rows, len(below)
+    return rows
 
 
 def boundary_square_is_zero(c: SimplicialComplex) -> bool:
@@ -107,9 +106,9 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     serves as the lower map of the next composition; its row j is the
     boundary of the face that the upper map's column j stands for.
     """
-    lower, _ = boundary_matrix(c, 0)  # vertices -> empty face
+    lower = boundary_matrix(c.levels, 0)  # vertices -> empty face
     for k in range(1, c.dim + 1):
-        upper, _ = boundary_matrix(c, k)  # k-faces -> (k-1)-faces
+        upper = boundary_matrix(c.levels, k)  # k-faces -> (k-1)-faces
         for row in upper:
             composed: dict[int, int] = {}
             for j, a in row.items():
@@ -129,7 +128,7 @@ def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> 
     """
     if c.is_void:
         return HomologyProfile()
-    return _compute_profile(c, field)
+    return _compute_profile(_excision_cells(c.levels), field)
 
 
 def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) -> list:
@@ -151,10 +150,10 @@ def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) ->
     return cells
 
 
-def _compute_profile(c: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    """Profile of the pair of `_excision_cells`, reduced top down with clearing.
+def _compute_profile(cells: Sequence[Sequence[int]], field: FieldSpec) -> HomologyProfile:
+    """Profile of a pair from its cells of sizes 0..dim+1, reduced top down with clearing.
 
-    For a vertex v of c, the star st = {F : F + v in c} is a cone, so its
+    For a complex c and a vertex v (`_excision_cells`), the star st = {F : F + v in c} is a cone, so its
     augmented chains are acyclic and the sequence of the pair gives
     H~_k(c) = H_k(c, st) = H_k(del_v c, lk_v c) by excision (Forman, Adv.
     Math. 1998; Jonsson, LNM 1928, 2008).  st is closed under taking faces,
@@ -172,19 +171,17 @@ def _compute_profile(c: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     compress", 2014).  Then
     dim H~_k = #(cells with k+1 vertices) - rank_k - rank_{k+1}.
     """
-    cells = _excision_cells(c.levels)
-    if not any(cells):
-        return HomologyProfile()
+    dim = len(cells) - 2
     ranks = {}
     cleared: set[int] = set()
-    for k in range(c.dim, -1, -1):
+    for k in range(dim, -1, -1):
         # a map from or to no cells has rank 0
-        cleared = (pivot_columns(*boundary_matrix(cells, k, skip=cleared), field)
+        cleared = (pivot_columns(boundary_matrix(cells, k, skip=cleared), field)
                    if cells[k] and cells[k + 1] else set())
         ranks[k] = len(cleared)
     return HomologyProfile({
         k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        for k in range(-1, c.dim + 1)
+        for k in range(-1, dim + 1)
     })
 
 

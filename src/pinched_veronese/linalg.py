@@ -6,7 +6,7 @@ eliminated against a dictionary of pivot rows keyed by leading (largest)
 column, and never densified.  Nothing here touches floating point.
 
 One elimination, `pivot_columns`, returns the set of those leading columns;
-`matrix_rank` is its size.  The set is what clearing needs (Chen-Kerber,
+the rank is its size.  The set is what clearing needs (Chen-Kerber,
 "Persistent homology computation with a twist", EuroCG 2011;
 Bauer-Kerber-Reininghaus, "Clear and compress", 2014): when the rows are the
 boundaries of (k+1)-faces, each pivot column is the largest k-face of a
@@ -135,20 +135,14 @@ def _pivots_sparse(rows: list[dict[int, int]], p: int | None) -> set[int]:
     return set(pivots)
 
 
-def pivot_columns(rows: list[dict[int, int]], ncols: int, field: FieldSpec) -> set[int]:
+def pivot_columns(rows: list[dict[int, int]], field: FieldSpec) -> set[int]:
     """Leading columns of the rows of a sparse integer matrix, reduced over the field.
 
     Each reduced row that does not vanish has a distinct largest column, so
     the set has the size of the rank.  Only the column indices are returned;
     the reduced rows are released with the elimination.
     """
-    if not rows or ncols == 0:
-        return set()
     if field.p == 2:
         return _pivots_gf2(rows)
     return _pivots_sparse(rows, field.p)
 
-
-def matrix_rank(rows: list[dict[int, int]], ncols: int, field: FieldSpec) -> int:
-    """Rank of a sparse integer matrix over the given field."""
-    return len(pivot_columns(rows, ncols, field))

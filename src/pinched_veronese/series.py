@@ -140,14 +140,14 @@ def hilbert_function(config: PinchConfig, t: int) -> int:
 def _cleared_numerator(config: PinchConfig) -> Polynomial:
     """The Hilbert series times (1 - w)^(N-1), in w.
 
-    The hole count is a polynomial in t from t0 = 2 on for the interior
-    class (one hole at t = 1, none after) and from t0 = 1 otherwise, and so
-    is H, with degree at most n - 1.  For n, d >= 2,
-    N - 1 >= C(n+1, 2) - 1 >= n, so `_cleared` applies and the numerator has
-    degree below t0 + N - 1.
+    The hole count is a polynomial in t from t = 2 on for every class (the
+    interior one has one hole, at t = 1), and so is H, with degree at most
+    n - 1.  For n, d >= 2, N - 1 >= C(n+1, 2) - 1 >= n, so `_cleared`
+    applies with t0 = 2 and the numerator has degree below N + 1.  Where
+    t0 = 1 would do, the one more value of H read gives a top coefficient
+    of 0, which `Polynomial` strips.
     """
-    t0 = 2 if config.pinch_class is PinchClass.INTERIOR else 1
-    return _cleared(lambda t: hilbert_function(config, t), t0, config.N - 1)
+    return _cleared(lambda t: hilbert_function(config, t), 2, config.N - 1)
 
 
 def hilbert_closed(config: PinchConfig) -> Series:

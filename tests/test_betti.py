@@ -96,9 +96,12 @@ def test_table_determinism_and_jobs():
             graded_betti(config, jobs=jobs)
 
 
-def test_jobs_capped_at_cpu_count(monkeypatch):
+def in_process_pools(monkeypatch):
+    """Replace the worker pool by one that runs the real worker in this
+    process, with no pool started yet; the list gets each pool's size."""
     import concurrent.futures
-    import os
+
+    from pinched_veronese import betti
 
     requested = []
 
@@ -106,21 +109,41 @@ def test_jobs_capped_at_cpu_count(monkeypatch):
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items, chunksize=1):
-            return map(fn, items)  # the real worker, run in this process
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(betti, "_pool", None)
+    return requested
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    import os
+
+    requested = in_process_pools(monkeypatch)
     config = cfg(2, 4, (2, 2))
     cpus = os.cpu_count() or 1
     table = graded_betti(config, jobs=cpus + 3)
     assert requested == ([cpus] if cpus > 1 else [])
     assert table.same_entries(graded_betti(config))
+
+
+def test_sweep_starts_one_worker_pool(monkeypatch, capsys):
+    import os
+
+    from pinched_veronese.cli import main
+
+    argv = ["verify", "--sweep", "n=2,d=3..5", "--format", "json"]
+    assert main([*argv, "--jobs", "1"]) == 1
+    serial = capsys.readouterr().out
+    requested = in_process_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main([*argv, "--jobs", "2"]) == 1
+    assert capsys.readouterr().out == serial
+    assert requested == [2]  # one pool for the nine configurations
 
 
 def test_scan_range_validation():

@@ -17,12 +17,12 @@ from pinched_veronese import (
     build_divisor_complex,
     enumerate_degree,
     euler_characteristic_matches,
-    matrix_rank,
     reduced_homology,
     witness_non_cm,
 )
 from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes
-from pinched_veronese.homology import _excision_cells
+from pinched_veronese.homology import _compute_profile, _excision_cells
+from pinched_veronese.linalg import pivot_columns
 
 FIELDS = (FieldSpec(32003), GF2, RATIONALS)
 
@@ -65,7 +65,7 @@ def rank_oracle(rows, ncols, p=None):
 
 
 def sparse(rows):
-    """Dense rows as the sparse {column: value} rows that matrix_rank takes."""
+    """Dense rows as the sparse {column: value} rows that pivot_columns takes."""
     return [dict(enumerate(row)) for row in rows]
 
 
@@ -73,12 +73,13 @@ def test_rank_known_matrices():
     ident = sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     sing = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     for field in FIELDS:
-        assert matrix_rank(ident, 3, field) == 3
-        assert matrix_rank(sing, 3, field) == 2
+        assert len(pivot_columns(ident, field)) == 3
+        assert len(pivot_columns(sing, field)) == 2
+        assert pivot_columns([], field) == pivot_columns([{}, {}], field) == set()  # no rows, or no entries
     # rank can drop in finite characteristic
     twos = sparse([[2]])
-    assert matrix_rank(twos, 1, GF2) == 0
-    assert matrix_rank(twos, 1, RATIONALS) == 1
+    assert len(pivot_columns(twos, GF2)) == 0
+    assert len(pivot_columns(twos, RATIONALS)) == 1
 
 
 @given(
@@ -91,9 +92,9 @@ def test_rank_against_oracle(nrows, ncols, data):
     rows = [
         [data.draw(st.integers(-4, 4)) for _ in range(ncols)] for _ in range(nrows)
     ]
-    assert matrix_rank(sparse(rows), ncols, RATIONALS) == rank_oracle(rows, ncols)
-    assert matrix_rank(sparse(rows), ncols, GF2) == rank_oracle(rows, ncols, 2)
-    assert matrix_rank(sparse(rows), ncols, FieldSpec(5)) == rank_oracle(rows, ncols, 5)
+    assert len(pivot_columns(sparse(rows), RATIONALS)) == rank_oracle(rows, ncols)
+    assert len(pivot_columns(sparse(rows), GF2)) == rank_oracle(rows, ncols, 2)
+    assert len(pivot_columns(sparse(rows), FieldSpec(5))) == rank_oracle(rows, ncols, 5)
 
 
 def test_fieldspec_validation_and_parse():
@@ -158,12 +159,12 @@ def test_profile_type_contract():
 
 def test_boundary_matrix_shape_and_signs():
     c = SimplicialComplex.full_simplex(range(3))
-    rows, ncols = boundary_matrix(c, 1)  # edges -> vertices
-    assert len(rows) == 3 and ncols == 3
+    rows = boundary_matrix(c.levels, 1)  # edges -> vertices
     # edges 01, 02, 12; removing the j-th smallest vertex has sign (-1)^j
     assert rows == [{1: 1, 0: -1}, {2: 1, 0: -1}, {2: 1, 1: -1}]
-    rows0, ncols0 = boundary_matrix(c, 0)  # vertices -> empty face
-    assert rows0 == [{0: 1}, {0: 1}, {0: 1}] and ncols0 == 1
+    assert boundary_matrix(c.levels, 0) == [{0: 1}, {0: 1}, {0: 1}]  # vertices -> empty face
+    # no map below the empty face or above the top faces
+    assert boundary_matrix(c.levels, -1) == boundary_matrix(c.levels, c.dim + 1) == []
 
 
 # -- clearing against per-level ranks on divisor complexes --------------------
@@ -171,7 +172,8 @@ def test_boundary_matrix_shape_and_signs():
 
 def per_level_profile(c, field):
     """Reference profile: each boundary map's rank on its own, nothing cleared."""
-    ranks = {k: matrix_rank(*boundary_matrix(c, k), field) for k in range(0, c.dim + 1)}
+    ranks = {k: len(pivot_columns(boundary_matrix(c.levels, k), field))
+             for k in range(0, c.dim + 1)}
     return HomologyProfile({k: len(c.levels[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
                             for k in range(-1, c.dim + 1)})
 
@@ -258,22 +260,22 @@ def test_boundary_square_catches_one_flipped_sign(monkeypatch):
     built = []
     original = homology.boundary_matrix
 
-    def counted(c, k, **kw):
+    def counted(levels, k, **kw):
         built.append(k)
-        return original(c, k, **kw)
+        return original(levels, k, **kw)
 
     monkeypatch.setattr(homology, "boundary_matrix", counted)
     assert boundary_square_is_zero(c)
     assert built == list(range(0, c.dim + 1))  # each matrix built once
     for k in range(0, c.dim + 1):
-        rows, _ = original(c, k)
+        rows = original(c.levels, k)
         for r, row in enumerate(rows):
             for j in row:
-                def flipped(c, kk, r=r, j=j, k=k, **kw):
-                    rows, ncols = original(c, kk, **kw)
+                def flipped(levels, kk, r=r, j=j, k=k, **kw):
+                    rows = original(levels, kk, **kw)
                     if kk == k:
                         rows[r][j] = -rows[r][j]
-                    return rows, ncols
+                    return rows
 
                 monkeypatch.setattr(homology, "boundary_matrix", flipped)
                 assert not boundary_square_is_zero(c), (k, r, j)
@@ -285,21 +287,20 @@ def test_boundary_rows_are_built_per_call():
     # a caller may change the rows it is given; the next call builds them anew
     config = PinchConfig(2, 5, Multidegree((2, 3)))
     c = build_divisor_complex(Multidegree((10, 5)), config)
-    rows, _ = boundary_matrix(c, 1)
+    rows = boundary_matrix(c.levels, 1)
     assert rows
     expected = [dict(row) for row in rows]
     rows[0][0] = 7
     del rows[1][next(iter(rows[1]))]
-    assert boundary_matrix(c, 1)[0] == expected
+    assert boundary_matrix(c.levels, 1) == expected
 
 
 def test_boundary_matrix_skips_rows_in_order():
     c = SimplicialComplex.full_simplex(range(4))
     for k in range(0, c.dim + 1):
-        rows, ncols = boundary_matrix(c, k)
+        rows = boundary_matrix(c.levels, k)
         for skip in ({0}, set(range(0, len(rows), 2)), set(range(len(rows)))):
-            kept, kept_ncols = boundary_matrix(c, k, skip=skip)
-            assert kept_ncols == ncols
+            kept = boundary_matrix(c.levels, k, skip=skip)
             assert kept == [row for j, row in enumerate(rows) if j not in skip]
 
 
@@ -394,13 +395,12 @@ def test_reduced_homology_matches_dense_oracle(c):
 def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
     # the dense oracle's column j is the j-th k-face, and so is boundary_matrix's
     for k in range(0, c.dim + 2):
-        rows, ncols = boundary_matrix(c, k)
-        dense, width = dense_boundary(c, k)
-        assert ncols == width
-        assert rows == [{j: a for j, a in enumerate(row) if a} for row in dense]
+        dense, _ = dense_boundary(c, k)
+        assert boundary_matrix(c.levels, k) == [{j: a for j, a in enumerate(row) if a}
+                                                for row in dense]
     for k in range(1, c.dim + 1):
-        upper, _ = boundary_matrix(c, k)
-        lower, _ = boundary_matrix(c, k - 1)
+        upper = boundary_matrix(c.levels, k)
+        lower = boundary_matrix(c.levels, k - 1)
         for row in upper:
             composed = {}
             for j, a in row.items():
@@ -413,7 +413,8 @@ def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
 def pair_profile(c, v, field):
     """Relative homology of the pair at v from each boundary map's rank, nothing cleared."""
     cells = _excision_cells(c.levels, v)
-    ranks = {k: matrix_rank(*boundary_matrix(cells, k), field) for k in range(0, c.dim + 1)}
+    ranks = {k: len(pivot_columns(boundary_matrix(cells, k), field))
+             for k in range(0, c.dim + 1)}
     return HomologyProfile({k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
                             for k in range(-1, c.dim + 1)})
 
@@ -437,3 +438,13 @@ def test_pair_profile_does_not_depend_on_the_vertex(c):
             apexes.add(v)
     assert apexes == {v for v in c.ground if all(v in f for f in facets)}
     assert bool(apexes) == c.is_cone()
+
+
+@given(downward_closed_complexes())
+@settings(max_examples=40, deadline=None)
+def test_cleared_cell_profile_matches_on_every_vertex(c):
+    # the reduction with clearing, given the cells of any vertex's pair
+    for field in (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS):
+        expected = reduced_homology(c, field)
+        for v in c.support():
+            assert _compute_profile(_excision_cells(c.levels, v), field) == expected, (v, field)

@@ -167,3 +167,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     loaded = set(out.split())
     assert "pinched_veronese.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+def test_importing_the_cli_loads_no_file_helpers():
+    # -S skips site, whose .pth files can load these modules first; only a
+    # run with a cache directory needs them, and only --jobs above 1 a pool
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import pinched_veronese.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    loaded = set(out.split())
+    assert "pinched_veronese.cli" in loaded
+    unwanted = {"tempfile", "shutil", "random", "pathlib", "concurrent.futures"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)

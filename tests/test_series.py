@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from pinched_veronese import (
     veronese_module_series,
 )
 from pinched_veronese import series as series_module
-from pinched_veronese.series import _cleared_numerator, _lowest_terms, in_z, one_minus_w
+from pinched_veronese.series import (
+    _cleared, _cleared_numerator, _lowest_terms, in_z, one_minus_w)
 
 
 def cfg(n, d, m):
@@ -114,6 +116,22 @@ def test_cleared_numerator_truncation_is_exact():
                 far = convolve_far(config, t0 + config.N - 1 + 6)
                 assert all(c == 0 for c in far[t0 + config.N - 1:]), (n, d, m)
                 assert _cleared_numerator(config) == Polynomial(far), (n, d, m)
+
+
+def test_one_start_for_every_class_gives_the_same_numerator():
+    # t0 = 1 outside the interior class, as before, against t0 = 2 for all
+    checked = 0
+    for n, ds in ((2, range(2, 12)), (3, range(2, 7)), (4, range(2, 5))):
+        for d in ds:
+            for m in product(range(d + 1), repeat=n):
+                if sum(m) != d:
+                    continue
+                config = cfg(n, d, m)
+                t0 = 2 if config.pinch_class is PinchClass.INTERIOR else 1
+                old = _cleared(lambda t: hilbert_function(config, t), t0, config.N - 1)
+                assert _cleared_numerator(config) == old, (n, d, m)
+                checked += 1
+    assert checked == 220
 
 
 def test_hilbert_function_counts_the_lattice():
