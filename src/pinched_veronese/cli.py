@@ -370,7 +370,7 @@ SHARED_OPTIONS = {
     "--format": dict(choices=("text", "json", "csv"), default="text"),
     "--cache-dir": dict(default=None, help=f"profile cache directory (default: ${CACHE_ENV_VAR})"),
     "--jobs": dict(type=_positive_int, default=1, help="parallel homology jobs"),
-    "--budget": dict(type=int, default=DEFAULT_COMPLEX_BUDGET,
+    "--budget": dict(type=_positive_int, default=DEFAULT_COMPLEX_BUDGET,
                      help="resource budget (complexes x subsets)"),
     "--imax": dict(type=int, default=None, help="largest homological degree"),
     "--smax": dict(type=int, default=None, help="largest coarse degree"),

@@ -6,13 +6,12 @@ vertex labels (bit v set when v is in the face); a complex keeps its faces
 grouped by size, each group in lexicographic order of the sorted vertex
 tuples, and always includes the empty face (mask 0) when it is non-void.
 
-Every complex on a ground set is a subset of that set's subsets, so those
-are tabled once, size by size and only up to the largest size asked for, in
-bounded memos: `_subsets` (the masks in that order) and, for a generator
-set, `_sum_classes` (which subsets have the same generator sum, and per
-coordinate bitmasks of those classes).  A divisor complex picks, level by
+The subsets of a generator set are tabled once, size by size and only up
+to the largest size asked for, in one bounded memo, `_sum_classes`: the
+masks in that order, which subsets have the same generator sum, and per
+coordinate bitmasks of those classes.  A divisor complex picks, level by
 level, the sum classes v with h - v in H by ANDing bitmasks and clearing
-the classes of the holes, and keeps their subsets.
+the classes of the holes (`semigroup._holes`), and keeps their subsets.
 """
 
 from __future__ import annotations
@@ -20,15 +19,14 @@ from __future__ import annotations
 from collections.abc import Set
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, combinations, compress
-from math import comb
 from operator import add, and_, or_, sub
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .semigroup import (
     Multidegree,
     PinchConfig,
     _compositions_desc,
-    _hole_test,
+    _holes,
     generate_generators,
     is_member_closed,
 )
@@ -180,18 +178,12 @@ class SimplicialComplex:
         )
 
 
-@lru_cache(maxsize=64)
-def _subsets(ground: tuple[int, ...], f: int) -> tuple[int, ...]:
-    """The masks of the f-subsets of ground in lexicographic order of their
-    sorted vertex tuples (bounded memo)."""
-    return tuple(map(sum, combinations([1 << v for v in ground], f)))
-
-
 class _Level(NamedTuple):
-    """The sum classes of the f-subsets of the vertices 0..k-1: `masks` in
-    `_subsets` order, each one's class id, the id of each distinct sum (in id
-    order), and `at_most[j][x]`, the bitmask of the ids whose sum v has v_j <=
-    x (x up to the largest v_j)."""
+    """The sum classes of the f-subsets of the vertices 0..k-1: their
+    `masks` in lexicographic order of the sorted vertex tuples, each one's
+    class id, the id of each distinct sum (in id order), and
+    `at_most[j][x]`, the bitmask of the ids whose sum v has v_j <= x (x up
+    to the largest v_j)."""
 
     masks: tuple[int, ...]
     ids: tuple[int, ...]
@@ -212,46 +204,30 @@ def _level(tables: list[_Level], gens: tuple[tuple[int, ...], ...], f: int) -> _
     """tables[f], after growing the `_sum_classes` list `tables` up to f.
 
     In lexicographic order, the f-subsets of 0..k-1 are the (f-1)-subsets
-    in their order, each extended in turn by every vertex above its largest
-    one.  So walking the level below that way lists the f-subsets in
-    `_subsets` order, each sum being its parent's plus the generator of the
-    vertex added.
+    in their order, each extended in turn by every vertex j above its
+    largest one.  So walking the level below that way lists the f-subsets
+    in order, each mask being its parent's with bit j set and each sum its
+    parent's plus gens[j].
     """
-    ground = tuple(range(len(gens)))
     while len(tables) <= f:
         prev = tables[-1]
         prev_sums = tuple(prev.index)
         index: dict[tuple[int, ...], int] = {}
+        masks = []
         ids = []
         for pm, pid in zip(prev.masks, prev.ids):
             s = prev_sums[pid]
-            for g in gens[pm.bit_length():]:
-                ids.append(index.setdefault(tuple(map(add, s, g)), len(index)))
+            for j in range(pm.bit_length(), len(gens)):
+                masks.append(pm | 1 << j)
+                ids.append(index.setdefault(tuple(map(add, s, gens[j])), len(index)))
         at_most = []
         for j in range(len(gens[0])):
             by_value = [0] * (max(v[j] for v in index) + 1)
             for i, v in enumerate(index):
                 by_value[v[j]] |= 1 << i
             at_most.append(tuple(accumulate(by_value, or_)))
-        tables.append(_Level(_subsets(ground, len(tables)), tuple(ids), index, tuple(at_most)))
+        tables.append(_Level(tuple(masks), tuple(ids), index, tuple(at_most)))
     return tables[f]
-
-
-_Holes = tuple[Optional[tuple[int, int]], tuple[tuple[int, ...], ...]]
-
-
-@lru_cache(maxsize=64)
-def _holes(is_hole: Callable[[tuple[int, ...]], bool], n: int, total: int) -> _Holes:
-    """The vectors r of N^n with this total that is_hole marks (bounded memo,
-    keyed by the predicate itself): (p, low) when they are exactly the
-    half-space r_p >= low (max m = d), else None and the vectors."""
-    holes = [c for c in _compositions_desc(total, n) if is_hole(c)]
-    for p in range(n if holes else 0):
-        low = min(r[p] for r in holes)
-        # the compositions of total with r_p >= low number C(total-low+n-1, n-1)
-        if len(holes) == comb(total - low + n - 1, n - 1):
-            return (p, low), ()
-    return None, tuple(holes)
 
 
 # bin() digits as bytes 0/1, so that compress reads them as truth values
@@ -261,17 +237,17 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def _divisor_levels(
     h: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
-    holes: Callable[[int], _Holes],
+    holes,
 ) -> tuple[tuple[int, ...], ...]:
     """Levels of {F : h - sum(F) in H}, for h in H.
 
     `gens` holds the generator of each vertex, each of total d, so a
     face has at most |h|/d vertices and no larger subset is looked at, and
-    `holes(total)` gives the vectors of that total missing from H, as
-    `_holes` does.  Every remainder has a total that is a multiple of d, so
-    it is in H exactly when it is non-negative and not a hole.  Per level,
-    the sum classes v with v <= h are the AND of one `at_most` mask per
-    coordinate; a half-space of holes r_p >= low clears the mask of
+    `holes(t)` gives the vectors of total t*d missing from H, in the form
+    of `semigroup._holes`.  Every remainder has a total that is a multiple
+    of d, so it is in H exactly when it is non-negative and not a hole.
+    Per level, the sum classes v with v <= h are the AND of one `at_most`
+    mask per coordinate; a half-space of holes r_p >= low clears the mask of
     v_p <= h_p - low, and each listed hole r the class h - r, where there
     is one; the subsets of the classes left form the level.  The complex
     is downward closed, so the first empty level ends it.
@@ -285,7 +261,7 @@ def _divisor_levels(
         for x, row in zip(h, at_most):
             if x < len(row):
                 ok &= row[x]
-        half, points = holes(total - f * d)
+        half, points = holes(total // d - f)
         if half and h[half[0]] >= half[1]:
             x, row = h[half[0]] - half[1], at_most[half[0]]
             ok &= ~row[min(x, len(row) - 1)]
@@ -307,7 +283,7 @@ def build_divisor_complex(h, config: PinchConfig) -> SimplicialComplex:
     ground = tuple(range(len(gens)))
     levels = ()
     if is_member_closed(h, config):
-        levels = _divisor_levels(h, gens, partial(_holes, _hole_test(config), config.n))
+        levels = _divisor_levels(h, gens, partial(_holes, config))
     return SimplicialComplex(ground, levels=levels)
 
 
@@ -325,7 +301,7 @@ def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     gens = veronese_generators(n, d)
     ground = tuple(range(len(gens)))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = (_divisor_levels(h, gens, lambda total: (None, ()))
+    levels = (_divisor_levels(h, gens, lambda t: (None, ()))
               if h.total % d == 0 else ())
     return SimplicialComplex(ground, levels=levels)
 
@@ -340,10 +316,10 @@ def alexander_dual(
     since the dual's own support can be smaller than V, pass the dual's
     ground set explicitly to invert (the dual stores it).
 
-    The levels are built on masks: the j-vertex subsets G of V come from
-    V's subset table in lexicographic order, and G is a face of the dual
-    when V - G is not a face of c.  The dual is downward closed, so the
-    first empty level ends it.
+    The levels are built on masks: the j-vertex subsets G of V come in
+    lexicographic order, and G is a face of the dual when V - G is not a
+    face of c.  The dual is downward closed, so the first empty level ends
+    it.
     """
     if c.is_void:
         raise ValueError("the void complex has no Alexander dual")
@@ -355,7 +331,8 @@ def alexander_dual(
     vertices = tuple(sorted(set(sup)))
     levels = []
     for j in range(len(vertices) + 1):
-        level = tuple(g for g in _subsets(vertices, j) if full ^ g not in masks)
+        level = tuple(g for g in map(sum, combinations([1 << v for v in vertices], j))
+                      if full ^ g not in masks)
         if not level:
             break
         levels.append(level)

@@ -15,7 +15,7 @@ import enum
 from functools import lru_cache
 from math import comb
 from operator import sub
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 
 class Multidegree(tuple):
@@ -155,45 +155,51 @@ def generate_generators(config: PinchConfig) -> tuple[Multidegree, ...]:
     return gens
 
 
-@lru_cache(maxsize=128)
-def _hole_test(config: PinchConfig) -> Callable[[tuple[int, ...]], bool]:
-    """Predicate for the vectors of N^n with total a positive multiple of d not in H.
+@lru_cache(maxsize=512)
+def _holes(
+    config: PinchConfig, t: int
+) -> tuple[Optional[tuple[int, int]], tuple[tuple[int, ...], ...]]:
+    """The vectors of N^n with total t*d missing from H (bounded memo), as
+    (p, low) when they are the half-space h_p >= low, else None, and a
+    tuple of the vectors, in descending lex order.
 
-    Only meaningful on such vectors (and on 0, which is never a hole):
-      max m = d   (d at position p): everything with |h| - h_p < t;
-      max m = d-1 (d-1 at p, 1 at r): the single vector (td-1)e_p + e_r;
-      max m < d-1: only m itself (degree d).
+      t = 0: none (0 is the empty sum);
+      max m = d   (d at position p): the half-space h_p >= t(d-1) + 1,
+        that is |h| - h_p < t;
+      max m = d-1 (d-1 at p, 1 at r), d >= 3: the single vector
+        (td-1)e_p + e_r;
+      d = 2, m = e_p + e_r (p < r): removing m leaves no generator pairing
+        p and r, so the t vectors a*e_p + (2t-a)*e_r with a odd;
+      max m < d-1: only m itself, at t = 1.
     """
-    d = config.d
+    n, d, m = config
+    if t == 0:
+        return None, ()
     cls = config.pinch_class
     if cls is PinchClass.MAX_D:
-        p = config.m.index(d)
-        return lambda h: sum(h) - h[p] < sum(h) // d
+        return (m.index(d), t * (d - 1) + 1), ()
     if cls is PinchClass.MAX_D_MINUS_1:
-        p = config.m.index(d - 1)
-        r = next(j for j in range(config.n) if j != p and config.m[j] == 1)
-        rest = [j for j in range(config.n) if j not in (p, r)]
-        if d == 2:
-            # removing (1,1,0,...,0) leaves no generator pairing positions p
-            # and r, so everything odd at both and zero elsewhere is missing
-            return lambda h: h[p] % 2 == 1 and h[r] % 2 == 1 and not any(h[j] for j in rest)
-        return lambda h: h[r] == 1 and not any(h[j] for j in rest)
-    m = tuple(config.m)
-    return lambda h: h == m
+        p = m.index(d - 1)
+        r = next(j for j in range(n) if j != p and m[j] == 1)
+        tops = range(2 * t - 1, 0, -2) if d == 2 else (t * d - 1,)
+        return None, tuple(tuple(a if j == p else t * d - a if j == r else 0 for j in range(n))
+                           for a in tops)
+    return None, ((tuple(m),) if t == 1 else ())
 
 
 def is_member_closed(h, config: PinchConfig) -> bool:
     """Closed-form membership test for h in the pinched semigroup.
 
     h = 0 is a member (empty sum).  Otherwise |h| must equal t*d with t >= 1,
-    and h must not be one of the missing vectors of `_hole_test`.
+    and h must not be one of the holes `_holes(config, t)`.
     """
     h = Multidegree(h)
     if len(h) != config.n:
         raise ValueError(f"dimension mismatch: len(h)={len(h)}, n={config.n}")
     if h.total % config.d != 0:
         return False
-    return not _hole_test(config)(h)
+    half, points = _holes(config, h.total // config.d)
+    return not (half and h[half[0]] >= half[1]) and h not in points
 
 
 def is_member_bruteforce(h, config: PinchConfig, degree_cap: int | None = None) -> bool:
@@ -230,21 +236,28 @@ def enumerate_degree(
     config: PinchConfig, t: int, below: Optional[Sequence[int]] = None
 ) -> list[Multidegree]:
     """All semigroup elements of total degree t*d, descending lex; with
-    `below`, only those h with h_q < below[q] at every q."""
+    `below`, only those h with h_q < below[q] at every q.
+
+    A half-space of holes h_p >= low caps the compositions at h_p <= low - 1,
+    and the listed holes are dropped."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    hole = _hole_test(config)
-    caps = None if below is None else [b - 1 for b in below]
+    total = t * config.d
+    half, points = _holes(config, t)
+    caps = [total] * config.n if below is None else [b - 1 for b in below]
+    if half:
+        p, low = half
+        caps[p] = min(caps[p], low - 1)
     # compositions are tuples of non-negative ints already: skip re-validation
     return [tuple.__new__(Multidegree, c)
-            for c in _compositions_desc(t * config.d, config.n, caps) if not hole(c)]
+            for c in _compositions_desc(total, config.n, caps) if c not in points]
 
 
 def is_normal(config: PinchConfig) -> bool:
     """Whether H = gp(H) ∩ R+H (normality; Bruns-Gubeladze, Polytopes,
     Rings, and K-Theory, 2009), decided by the pinch class.
 
-    H is normal exactly when no hole of `_hole_test` lies in both the cone
+    H is normal exactly when no hole of `_holes` lies in both the cone
     R+H and the group gp(H).  p is the position of max m.
       max m = d: gp(H) = {x : |x| = 0 mod d}, as e_p - e_q = ((d-1)e_p + e_q)
         - ((d-2)e_p + 2e_q) and d*e_p = ((d-1)e_p + e_q) + (e_p - e_q).  The

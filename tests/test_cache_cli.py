@@ -368,6 +368,20 @@ def test_cli_rejects_jobs_below_one(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["betti", "-d", "3", "--pinch", "1", "--budget", "0"],
+    ["betti", "-d", "3", "--pinch", "1", "--budget", "-5"],
+    ["dualcheck", "-d", "3", "--pinch", "3,0", "--coarse", "2", "--budget", "0"],
+], ids=("betti-zero", "betti-negative", "dualcheck-zero"))
+def test_cli_rejects_budget_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["gens", "-d", "3", "--pinch", "0", "--jobs", "2"],
     ["member", "-d", "3", "--pinch", "0", "--element", "3,3", "--jobs", "2"],
     ["hilbert", "-d", "3", "--pinch", "0", "--jobs", "2"],

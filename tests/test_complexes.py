@@ -17,6 +17,7 @@ from pinched_veronese import (
     link,
     veronese_generators,
 )
+from pinched_veronese import complexes, semigroup
 
 
 def cfg(n, d, m):
@@ -236,13 +237,12 @@ def test_decomposition_matches_subset_by_subset_reference(d):
 
 
 def test_decomposition_fails_on_a_wrong_pinched_complex(monkeypatch):
-    # with every remainder a hole the pinched complex is {empty face}, and
-    # the union misses the faces away from the pinched vertex; the check
-    # passes first, so no memo may keep the holes it read then
-    from pinched_veronese import complexes
-
+    # with every remainder a hole (the half-space r_0 >= 0) the pinched
+    # complex is {empty face}, and the union misses the faces away from the
+    # pinched vertex; the check passes first, so no memo may keep the holes
+    # it read then
     assert decomposition_check(Multidegree((10, 10)), 5, 2)
-    monkeypatch.setattr(complexes, "_hole_test", lambda config: lambda r: True)
+    monkeypatch.setattr(complexes, "_holes", lambda config, t: ((0, 0), ()))
     assert not decomposition_check(Multidegree((10, 10)), 5, 2)
 
 
@@ -282,20 +282,18 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
 # -- the shared subset tables -------------------------------------------------
 
 
-MEMOS = ("_subsets", "_sum_classes", "_holes")
+MEMOS = (complexes._sum_classes, semigroup._holes)
 
 
 def clear_memos():
-    from pinched_veronese import complexes
-
-    for name in MEMOS:
-        getattr(complexes, name).cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def test_tables_hold_no_subset_size_above_the_degree():
-    # every memo entry is one subset size of this one ground set, one list of
-    # per-size sum classes, or the holes of one remainder total
-    from pinched_veronese import complexes, reduced_homology
+    # every memo entry is one list of per-size sum classes, or the holes of
+    # one degree
+    from pinched_veronese import reduced_homology
 
     clear_memos()
     config = cfg(2, 8, (3, 5))
@@ -303,14 +301,13 @@ def test_tables_hold_no_subset_size_above_the_degree():
     for s in (1, 3, 5):
         for h in enumerate_degree(config, s):
             reduced_homology(build_divisor_complex(h, config))
-        for name in MEMOS:
-            assert getattr(complexes, name).cache_info().currsize <= s + 1, (name, s)
+        for memo in MEMOS:
+            assert memo.cache_info().currsize <= s + 1, (memo, s)
         assert complexes._sum_classes.cache_info().currsize == 1
         assert len(complexes._sum_classes(gens)) <= s + 1, s
-    assert complexes._subsets.cache_info().currsize == 5  # sizes 1..5 were asked for
-    assert len(complexes._sum_classes(gens)) == 6
-    # the remainders of a degree-5 element have totals 0, 8, ..., 32
-    assert complexes._holes.cache_info().currsize == 5
+    assert len(complexes._sum_classes(gens)) == 6  # sizes 0..5 were asked for
+    # a degree-5 element and its remainders have degrees 0, 1, ..., 5
+    assert semigroup._holes.cache_info().currsize == 6
 
 
 @pytest.mark.parametrize("config", [cfg(2, 9, (4, 5)), cfg(3, 4, (2, 1, 1)), cfg(4, 3, (2, 1, 0, 0))])
@@ -333,22 +330,22 @@ def test_sum_class_levels_follow_the_subsets_in_lexicographic_order(config):
             assert sums[level.ids[p]] == want, (f, sub)
 
 
-def test_holes_are_read_off_the_hole_test():
+def test_holes_are_stated_by_pinch_class():
     # a max=d pinch at p misses the half-space r_p > t(d-1) of each degree
     # t, which is cleared by one mask; other classes list their holes
-    from pinched_veronese.complexes import _holes
-    from pinched_veronese.semigroup import _hole_test
+    from pinched_veronese.semigroup import _holes
 
-    def holes(m, total):
-        return _holes(_hole_test(cfg(len(m), sum(m), m)), len(m), total)
+    def holes(m, t):
+        return _holes(cfg(len(m), sum(m), m), t)
 
-    assert holes((0, 3, 0), 6) == ((1, 5), ())
-    assert holes((3, 0), 9) == ((0, 7), ())
-    assert holes((2, 1, 0), 9) == (None, ((8, 1, 0),))
-    assert holes((1, 1), 6) == (None, ((5, 1), (3, 3), (1, 5)))
-    assert holes((1, 1, 1), 3) == (None, ((1, 1, 1),))
-    assert holes((1, 1, 1), 6) == holes((3, 0, 0), 0) == (None, ())
-    assert _holes(lambda r: True, 2, 4) == ((0, 0), ())
+    assert holes((0, 3, 0), 2) == ((1, 5), ())
+    assert holes((3, 0), 3) == ((0, 7), ())
+    assert holes((2, 1, 0), 3) == (None, ((8, 1, 0),))
+    assert holes((0, 1, 2), 2) == (None, ((0, 1, 5),))
+    assert holes((1, 1), 3) == (None, ((5, 1), (3, 3), (1, 5)))
+    assert holes((0, 1, 0, 1), 2) == (None, ((0, 3, 0, 1), (0, 1, 0, 3)))
+    assert holes((1, 1, 1), 1) == (None, ((1, 1, 1),))
+    assert holes((1, 1, 1), 2) == holes((3, 0, 0), 0) == holes((1, 1), 0) == (None, ())
 
 
 def test_profiles_do_not_depend_on_other_tables():

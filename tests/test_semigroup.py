@@ -14,7 +14,8 @@ from pinched_veronese import (
     is_member_closed,
     is_normal,
 )
-from pinched_veronese.semigroup import is_cohen_macaulay
+from pinched_veronese.semigroup import _holes, is_cohen_macaulay
+from pinched_veronese.series import hilbert_function
 
 
 def compositions(total, parts):
@@ -199,6 +200,43 @@ def test_enumerate_degree_matches_bruteforce_on_every_pinch(n, d, t_max):
             got = enumerate_degree(config, t)
             assert got == expected, (config, t)
             assert all(type(h) is Multidegree for h in got)
+
+
+@pytest.mark.parametrize("n, d, m", [
+    *[(2, 2, m) for m in ((2, 0), (1, 1), (0, 2))],
+    *[(3, 2, m) for m in ((2, 0, 0), (0, 2, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1))],
+    (2, 3, (3, 0)), (2, 4, (0, 4)), (3, 3, (0, 0, 3)), (3, 3, (0, 3, 0)),
+])
+def test_enumerate_degree_in_a_box_matches_bruteforce(n, d, m):
+    # the max=d half-space and the d = 2 parity holes meet the caps of the
+    # box h_q < below[q], on every side of each cap
+    config = cfg(n, d, m)
+    for t in range(5):
+        members = [c for c in sorted(compositions(t * d, n), reverse=True)
+                   if is_member_bruteforce(c, config)]
+        edges = sorted({0, 1, t, t * (d - 1), t * (d - 1) + 1, t * (d - 1) + 2, t * d + 1})
+        for below in itertools.product(edges, repeat=n):
+            expected = [h for h in members if all(map(int.__lt__, h, below))]
+            assert enumerate_degree(config, t, below) == expected, (config, t, below)
+
+
+@pytest.mark.parametrize("n, d_max", [(2, 11), (3, 6), (4, 4), (5, 3)])
+def test_holes_number_what_the_hilbert_function_misses(n, d_max):
+    # a half-space h_p >= low counts as the compositions it covers; the
+    # listed holes are distinct vectors of the degree
+    for d in range(2, d_max + 1):
+        for m in compositions(d, n):
+            config = cfg(n, d, m)
+            for t in range(9):
+                half, points = _holes(config, t)
+                count = len(set(points))
+                assert count == len(points)
+                assert all(len(r) == n and min(r) >= 0 and sum(r) == t * d for r in points)
+                if half:
+                    p, low = half
+                    count += comb(t * d - low + n - 1, n - 1)
+                missing = comb(t * d + n - 1, n - 1) - hilbert_function(config, t)
+                assert count == missing, (config, t)
 
 
 def test_enumerate_degree_sorted_descending():
