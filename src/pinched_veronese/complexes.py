@@ -20,13 +20,14 @@ from collections.abc import Set
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, combinations, compress
 from operator import add, and_, or_, sub
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .semigroup import (
     Multidegree,
     PinchConfig,
     _compositions_desc,
     _holes,
+    _HoleSet,
     generate_generators,
     is_member_closed,
 )
@@ -237,20 +238,20 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def _divisor_levels(
     h: tuple[int, ...],
     gens: tuple[tuple[int, ...], ...],
-    holes,
+    holes: Callable[[int], _HoleSet],
 ) -> tuple[tuple[int, ...], ...]:
     """Levels of {F : h - sum(F) in H}, for h in H.
 
     `gens` holds the generator of each vertex, each of total d, so a
     face has at most |h|/d vertices and no larger subset is looked at, and
-    `holes(t)` gives the vectors of total t*d missing from H, in the form
-    of `semigroup._holes`.  Every remainder has a total that is a multiple
-    of d, so it is in H exactly when it is non-negative and not a hole.
-    Per level, the sum classes v with v <= h are the AND of one `at_most`
-    mask per coordinate; a half-space of holes r_p >= low clears the mask of
-    v_p <= h_p - low, and each listed hole r the class h - r, where there
-    is one; the subsets of the classes left form the level.  The complex
-    is downward closed, so the first empty level ends it.
+    `holes(t)` gives the vectors of total t*d missing from H, as
+    `semigroup._holes` does.  Every remainder has a total that is a
+    multiple of d, so it is in H exactly when it is non-negative and not a
+    hole.  Per level, the sum classes v with v <= h are the AND of one
+    `at_most` mask per coordinate; a half-space of holes r_p >= low clears
+    the mask of v_p <= h_p - low, and each other hole r <= h the class
+    h - r, where there is one.  The subsets of the classes left form the
+    level, and the first empty level ends the (downward closed) complex.
     """
     tables = _sum_classes(gens)
     d, total = sum(gens[0]), sum(h)
@@ -261,11 +262,11 @@ def _divisor_levels(
         for x, row in zip(h, at_most):
             if x < len(row):
                 ok &= row[x]
-        half, points = holes(total // d - f)
-        if half and h[half[0]] >= half[1]:
-            x, row = h[half[0]] - half[1], at_most[half[0]]
+        missing = holes(total // d - f)
+        if missing.half and h[missing.half[0]] >= missing.half[1]:
+            x, row = h[missing.half[0]] - missing.half[1], at_most[missing.half[0]]
             ok &= ~row[min(x, len(row) - 1)]
-        for r in points:
+        for r in missing.listed(h, total - f * d):
             cid = index.get(tuple(map(sub, h, r)))
             if cid is not None:
                 ok &= ~(1 << cid)
@@ -301,7 +302,7 @@ def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     gens = veronese_generators(n, d)
     ground = tuple(range(len(gens)))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = (_divisor_levels(h, gens, lambda t: (None, ()))
+    levels = (_divisor_levels(h, gens, lambda t: _HoleSet())
               if h.total % d == 0 else ())
     return SimplicialComplex(ground, levels=levels)
 

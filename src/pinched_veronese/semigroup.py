@@ -155,40 +155,61 @@ def generate_generators(config: PinchConfig) -> tuple[Multidegree, ...]:
     return gens
 
 
+class _HoleSet(NamedTuple):
+    """The vectors of N^n of one total that are missing from H, in three
+    parts of O(n) size: `half` = (p, low), those with h_p >= low; `odd` =
+    (p, r), those odd at p and at r and zero elsewhere; and `points`."""
+
+    half: Optional[tuple[int, int]] = None
+    odd: Optional[tuple[int, int]] = None
+    points: tuple[tuple[int, ...], ...] = ()
+
+    def has(self, h: Sequence[int]) -> bool:
+        """Whether h, of the holes' total, is one of them, in O(n)."""
+        half, odd = self.half, self.odd
+        # h_p odd and h_p + h_r = |h| (even) make h_r odd and the rest zero
+        return (bool(half) and h[half[0]] >= half[1] or bool(odd) and h[odd[0]] % 2 == 1
+                and h[odd[0]] + h[odd[1]] == sum(h) or h in self.points)
+
+    def listed(self, h: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
+        """The holes r <= h of `odd` with this total, in descending lex
+        order, then the `points`.  Only the a*e_p + (total-a)*e_r with
+        total - h_r <= a <= h_p are looked at, however large the total."""
+        if self.odd:
+            p, r = self.odd
+            top = min(h[p], total - 1)
+            for a in range(top - 1 + top % 2, max(1, total - h[r]) - 1, -2):
+                yield tuple(a if j == p else total - a if j == r else 0 for j in range(len(h)))
+        yield from self.points
+
+
 @lru_cache(maxsize=512)
-def _holes(
-    config: PinchConfig, t: int
-) -> tuple[Optional[tuple[int, int]], tuple[tuple[int, ...], ...]]:
-    """The vectors of N^n with total t*d missing from H (bounded memo), as
-    (p, low) when they are the half-space h_p >= low, else None, and a
-    tuple of the vectors, in descending lex order.
+def _holes(config: PinchConfig, t: int) -> _HoleSet:
+    """The vectors of N^n with total t*d missing from H (bounded memo):
 
       t = 0: none (0 is the empty sum);
-      max m = d   (d at position p): the half-space h_p >= t(d-1) + 1,
-        that is |h| - h_p < t;
-      max m = d-1 (d-1 at p, 1 at r), d >= 3: the single vector
-        (td-1)e_p + e_r;
-      d = 2, m = e_p + e_r (p < r): removing m leaves no generator pairing
-        p and r, so the t vectors a*e_p + (2t-a)*e_r with a odd;
+      max m = d (d at p): the half-space h_p >= t(d-1) + 1, or |h| - h_p < t;
+      max m = d-1 (d-1 at p, 1 at r), d >= 3: the vector (td-1)e_p + e_r;
+      d = 2, m = e_p + e_r (p < r): no generator is left pairing p and r,
+        so the t vectors a*e_p + (2t-a)*e_r with a odd, the part `odd`;
       max m < d-1: only m itself, at t = 1.
     """
     n, d, m = config
     if t == 0:
-        return None, ()
+        return _HoleSet()
     cls = config.pinch_class
     if cls is PinchClass.MAX_D:
-        return (m.index(d), t * (d - 1) + 1), ()
+        return _HoleSet(half=(m.index(d), t * (d - 1) + 1))
     if cls is PinchClass.MAX_D_MINUS_1:
+        if d == 2:
+            return _HoleSet(odd=tuple(j for j in range(n) if m[j]))
         p = m.index(d - 1)
-        r = next(j for j in range(n) if j != p and m[j] == 1)
-        tops = range(2 * t - 1, 0, -2) if d == 2 else (t * d - 1,)
-        return None, tuple(tuple(a if j == p else t * d - a if j == r else 0 for j in range(n))
-                           for a in tops)
-    return None, ((tuple(m),) if t == 1 else ())
+        return _HoleSet(points=(tuple(c + (t - 1) * d * (j == p) for j, c in enumerate(m)),))
+    return _HoleSet(points=(tuple(m),) if t == 1 else ())
 
 
 def is_member_closed(h, config: PinchConfig) -> bool:
-    """Closed-form membership test for h in the pinched semigroup.
+    """Closed-form membership test for h in the pinched semigroup, in O(n).
 
     h = 0 is a member (empty sum).  Otherwise |h| must equal t*d with t >= 1,
     and h must not be one of the holes `_holes(config, t)`.
@@ -198,8 +219,7 @@ def is_member_closed(h, config: PinchConfig) -> bool:
         raise ValueError(f"dimension mismatch: len(h)={len(h)}, n={config.n}")
     if h.total % config.d != 0:
         return False
-    half, points = _holes(config, h.total // config.d)
-    return not (half and h[half[0]] >= half[1]) and h not in points
+    return not _holes(config, h.total // config.d).has(h)
 
 
 def is_member_bruteforce(h, config: PinchConfig, degree_cap: int | None = None) -> bool:
@@ -239,18 +259,18 @@ def enumerate_degree(
     `below`, only those h with h_q < below[q] at every q.
 
     A half-space of holes h_p >= low caps the compositions at h_p <= low - 1,
-    and the listed holes are dropped."""
+    and the other holes are dropped."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     total = t * config.d
-    half, points = _holes(config, t)
+    holes = _holes(config, t)
     caps = [total] * config.n if below is None else [b - 1 for b in below]
-    if half:
-        p, low = half
+    if holes.half:
+        p, low = holes.half
         caps[p] = min(caps[p], low - 1)
     # compositions are tuples of non-negative ints already: skip re-validation
     return [tuple.__new__(Multidegree, c)
-            for c in _compositions_desc(total, config.n, caps) if c not in points]
+            for c in _compositions_desc(total, config.n, caps) if not holes.has(c)]
 
 
 def is_normal(config: PinchConfig) -> bool:

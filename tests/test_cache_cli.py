@@ -195,6 +195,14 @@ def test_cli_gens(capsys):
     assert "(2, 1)" in out and "(0, 3)" in out
 
 
+def test_cli_member_answers_a_huge_element(capsys):
+    # a d = 2 parity hole of degree 10**12 is found from the pinch class alone
+    code, out = run_cli(capsys, "member", "-d", "2", "--pinch", "1",
+                        "--element", "1000000000001,999999999999")
+    assert code == 0
+    assert out == "(1000000000001, 999999999999) is not in the semigroup\n"
+
+
 def test_cli_member_cross_check(capsys):
     code, out = run_cli(capsys, "member", "-d", "3", "--pinch", "3,0",
                         "--element", "5,1", "--cross-check")

@@ -242,7 +242,7 @@ def test_decomposition_fails_on_a_wrong_pinched_complex(monkeypatch):
     # pinched vertex; the check passes first, so no memo may keep the holes
     # it read then
     assert decomposition_check(Multidegree((10, 10)), 5, 2)
-    monkeypatch.setattr(complexes, "_holes", lambda config, t: ((0, 0), ()))
+    monkeypatch.setattr(complexes, "_holes", lambda config, t: semigroup._HoleSet(half=(0, 0)))
     assert not decomposition_check(Multidegree((10, 10)), 5, 2)
 
 
@@ -332,20 +332,38 @@ def test_sum_class_levels_follow_the_subsets_in_lexicographic_order(config):
 
 def test_holes_are_stated_by_pinch_class():
     # a max=d pinch at p misses the half-space r_p > t(d-1) of each degree
-    # t, which is cleared by one mask; other classes list their holes
+    # t, which is cleared by one mask; a d = 2 pinch e_p + e_r misses the
+    # vectors odd at p and r and zero elsewhere, stated by (p, r) alone;
+    # other classes list their holes
     from pinched_veronese.semigroup import _holes
 
     def holes(m, t):
         return _holes(cfg(len(m), sum(m), m), t)
 
-    assert holes((0, 3, 0), 2) == ((1, 5), ())
-    assert holes((3, 0), 3) == ((0, 7), ())
-    assert holes((2, 1, 0), 3) == (None, ((8, 1, 0),))
-    assert holes((0, 1, 2), 2) == (None, ((0, 1, 5),))
-    assert holes((1, 1), 3) == (None, ((5, 1), (3, 3), (1, 5)))
-    assert holes((0, 1, 0, 1), 2) == (None, ((0, 3, 0, 1), (0, 1, 0, 3)))
-    assert holes((1, 1, 1), 1) == (None, ((1, 1, 1),))
-    assert holes((1, 1, 1), 2) == holes((3, 0, 0), 0) == holes((1, 1), 0) == (None, ())
+    def listed(m, t):
+        # every hole outside the half-space, read through the box of degree t
+        return tuple(holes(m, t).listed((t * sum(m),) * len(m), t * sum(m)))
+
+    assert holes((0, 3, 0), 2) == ((1, 5), None, ())
+    assert holes((3, 0), 3) == ((0, 7), None, ())
+    assert holes((2, 1, 0), 3) == (None, None, ((8, 1, 0),))
+    assert holes((0, 1, 2), 2) == (None, None, ((0, 1, 5),))
+    assert holes((1, 1), 3) == (None, (0, 1), ())
+    assert listed((1, 1), 3) == ((5, 1), (3, 3), (1, 5))
+    assert holes((0, 1, 0, 1), 2) == (None, (1, 3), ())
+    assert listed((0, 1, 0, 1), 2) == ((0, 3, 0, 1), (0, 1, 0, 3))
+    assert holes((1, 1, 1), 1) == (None, None, ((1, 1, 1),))
+    assert holes((1, 1, 1), 2) == holes((3, 0, 0), 0) == holes((1, 1), 0) == (None, None, ())
+    # only the parity holes under the box are looked at, however large t is
+    big = holes((1, 1), 10**12).listed((10**12 + 3, 10**12 + 1), 2 * 10**12)
+    assert [r[0] - 10**12 for r in itertools.islice(big, 4)] == [3, 1, -1]
+
+
+def test_divisor_complex_of_a_huge_degree_two_element():
+    # remainders of degree about 10**12: no list of their holes is built
+    config = cfg(2, 2, (1, 1))
+    assert build_divisor_complex((10**12, 10**12), config).levels == ((0,), (1, 2), (3,))
+    assert build_divisor_complex((10**12 + 1, 10**12 - 1), config).is_void
 
 
 def test_profiles_do_not_depend_on_other_tables():

@@ -147,6 +147,19 @@ def test_member_closed_degree_two_pinch():
             assert is_member_closed(h, config) == is_member_bruteforce(h, config)
 
 
+@pytest.mark.parametrize("m, member, hole", [
+    ((1, 1), (10**12, 10**12), (10**12 + 1, 10**12 - 1)),
+    ((1, 0, 1), (10**12 - 1, 2, 10**12 - 1), (10**12 + 1, 0, 10**12 - 1)),
+    ((3, 0), (3 * 10**12 - 10**12, 10**12), (3 * 10**12 - 1, 1)),
+    ((2, 1), (3 * 10**12 - 2, 2), (3 * 10**12 - 1, 1)),
+], ids=("d2-n2", "d2-n3", "max-d", "max-d-1"))
+def test_member_closed_answers_a_huge_element_from_its_class(m, member, hole):
+    # the holes of degree 10**12 are stated in O(n), not listed one by one
+    config = cfg(len(m), sum(m), m)
+    assert is_member_closed(member, config)
+    assert not is_member_closed(hole, config)
+
+
 def test_member_bruteforce_examples():
     assert is_member_bruteforce((2, 4), cfg(2, 3, (1, 2)))  # (2,1) + (0,3)
     assert not is_member_bruteforce((3, 0), cfg(2, 3, (3, 0)))  # the pinch itself
@@ -228,12 +241,14 @@ def test_holes_number_what_the_hilbert_function_misses(n, d_max):
         for m in compositions(d, n):
             config = cfg(n, d, m)
             for t in range(9):
-                half, points = _holes(config, t)
+                holes = _holes(config, t)
+                points = list(holes.listed((t * d,) * n, t * d))
                 count = len(set(points))
                 assert count == len(points)
                 assert all(len(r) == n and min(r) >= 0 and sum(r) == t * d for r in points)
-                if half:
-                    p, low = half
+                assert all(map(holes.has, points))
+                if holes.half:
+                    p, low = holes.half
                     count += comb(t * d - low + n - 1, n - 1)
                 missing = comb(t * d + n - 1, n - 1) - hilbert_function(config, t)
                 assert count == missing, (config, t)
