@@ -5,6 +5,12 @@ h - sum(F) still in the semigroup.  A face is stored as an int bitmask over
 vertex labels (bit v set when v is in the face); a complex keeps its faces
 grouped by size, each group in lexicographic order of the sorted vertex
 tuples, and always includes the empty face (mask 0) when it is non-void.
+Every complex is made from such levels, by the builders here.
+
+The split of a complex at one vertex v is stated once, in
+`_excision_cells`: the cells of v are the faces F with F + v not a face.
+`link` is the complex without them, `is_cone` asks whether an apex has
+none, and `homology` reduces them.
 
 The subsets of a generator set are tabled once, size by size and only up
 to the largest size asked for, in one bounded memo, `_sum_classes`: the
@@ -20,7 +26,7 @@ from collections.abc import Set
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, chain, combinations, compress
 from operator import add, and_, or_, sub
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .semigroup import (
     Multidegree,
@@ -62,7 +68,8 @@ class _FaceView(Set):
         return (Face(_vertices(m)) for m in chain.from_iterable(self._c.levels))
 
     def __contains__(self, f) -> bool:
-        return self._c.has_face(f)
+        m, levels = _mask(f), self._c.levels
+        return m.bit_count() < len(levels) and m in levels[m.bit_count()]
 
 
 class SimplicialComplex:
@@ -74,15 +81,8 @@ class SimplicialComplex:
 
     __slots__ = ("ground", "levels")
 
-    def __init__(self, ground: Iterable[int], faces=(),
-                 levels: Optional[tuple[tuple[int, ...], ...]] = None):
+    def __init__(self, ground: Iterable[int], levels: tuple[tuple[int, ...], ...]):
         self.ground = tuple(sorted(set(ground)))
-        if levels is None:
-            masks = {_mask(f) for f in faces}
-            levels = tuple(
-                tuple(sorted((m for m in masks if m.bit_count() == k), key=_vertices))
-                for k in range(max((m.bit_count() + 1 for m in masks), default=0))
-            )
         self.levels = levels
 
     # -- basic queries -------------------------------------------------
@@ -107,62 +107,17 @@ class SimplicialComplex:
         """Dimension (max face size - 1); -1 for {empty face}, -2 for void."""
         return len(self.levels) - 2
 
-    def faces_of_dim(self, k: int) -> list[tuple[int, ...]]:
-        """All k-dimensional faces as sorted tuples, in lexicographic order."""
-        if not 0 <= k + 1 < len(self.levels):
-            return []
-        return [tuple(_vertices(m)) for m in self.levels[k + 1]]
-
-    def has_face(self, f) -> bool:
-        m = _mask(f)
-        k = m.bit_count()
-        return k < len(self.levels) and m in self.levels[k]
-
     def is_cone(self) -> bool:
         """True if some vertex belongs to every maximal face (contractible).
 
-        Such an apex lies in every face of top size, and (by downward closure,
-        F -> F - {v} being one to one) it is one exactly when half the faces
-        contain it.
+        Such an apex lies in every face of top size, and it is one exactly
+        when its excision pair has no cells: there are |c| - 2 * #{faces
+        with v} of them (`_excision_cells`).
         """
         if len(self.levels) < 2:
             return False
-        faces = list(chain.from_iterable(self.levels))
         apexes = _vertices(reduce(and_, self.levels[-1]))
-        return any(2 * sum(1 for f in faces if f >> v & 1) == len(faces) for v in apexes)
-
-    def validate(self) -> None:
-        """Check downward closure and the empty-face convention."""
-        if self.is_void:
-            return
-        if 0 not in self.levels[0]:
-            raise ValueError("non-void complex is missing the empty face")
-        masks = set(chain.from_iterable(self.levels))
-        for f in masks:
-            for v in _vertices(f):
-                if f ^ (1 << v) not in masks:
-                    raise ValueError(f"not downward closed at {tuple(_vertices(f))}")
-        stray = self._support_mask() & ~_mask(self.ground)
-        if stray:
-            raise ValueError(f"faces use vertices outside the ground set: {_vertices(stray)}")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def void(cls, ground: Iterable[int] = ()) -> "SimplicialComplex":
-        return cls(ground, [])
-
-    @classmethod
-    def full_simplex(cls, vertices: Iterable[int]) -> "SimplicialComplex":
-        vs = tuple(sorted(set(vertices)))
-        faces = [c for k in range(len(vs) + 1) for c in combinations(vs, k)]
-        return cls(vs, faces)
-
-    @classmethod
-    def simplex_boundary(cls, vertices: Iterable[int]) -> "SimplicialComplex":
-        vs = tuple(sorted(set(vertices)))
-        faces = [c for k in range(len(vs)) for c in combinations(vs, k)]
-        return cls(vs, faces)
+        return any(not any(_excision_cells(self.levels, v)) for v in apexes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -340,17 +295,36 @@ def alexander_dual(
     return SimplicialComplex(sup, levels=tuple(levels))
 
 
+def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) -> list:
+    """The cells of the pair (del_v, lk_v) by size: the faces F with F + v not a face.
+
+    v defaults to the vertex in the most faces of the top size, the smallest
+    on ties.  A face with v is never a cell; one without v is, unless it is
+    in the link {G - v : G a face with v} taken one size up.
+    """
+    if v is None:
+        top = levels[-1]
+        v = max(range(reduce(or_, top).bit_length()),
+                key=lambda u: sum(1 for f in top if f >> u & 1), default=0)
+    b = 1 << v
+    cells = []
+    for f, level in enumerate(levels):
+        up = {g ^ b for g in levels[f + 1] if g & b} if f + 1 < len(levels) else ()
+        cells.append(tuple(m for m in level if not m & b and m not in up))
+    return cells
+
+
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Faces F such that F together with v is still a face.
+    """Faces F such that F together with v is still a face: c minus the
+    cells of v (`_excision_cells`).
 
     This is the "fat" link {F : exists G in c with v in G, G >= F}; it keeps
     the faces containing v, and is void when v lies in no face.
     """
     if v not in c.ground:
         raise ValueError(f"vertex {v} is not in the ground set")
-    b = 1 << v
-    masks = set(chain.from_iterable(c.levels))
-    levels = tuple(tuple(f for f in level if f | b in masks) for level in c.levels)
+    levels = tuple(tuple(f for f in level if f not in cut)
+                   for level, cut in zip(c.levels, map(set, _excision_cells(c.levels, v))))
     while levels and not levels[-1]:
         levels = levels[:-1]
     return SimplicialComplex(c.ground, levels=levels)

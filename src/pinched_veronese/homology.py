@@ -3,16 +3,15 @@
 The augmented chain complex includes the empty face in degree -1, so the
 complex {[]} has one-dimensional homology in degree -1 and the divisor
 complex of 0 yields the Betti number 1 in homological degree 0.  Profiles
-are reduced from the cells of one vertex's excision pair, row by row.
+are reduced, row by row, from the cells of one vertex's excision pair,
+which `complexes._excision_cells` lists; this module only reduces.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-from typing import AbstractSet, Mapping, Optional, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _excision_cells
 from .linalg import DEFAULT_FIELD, FieldSpec, pivot_columns
 
 
@@ -131,30 +130,12 @@ def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> 
     return _compute_profile(_excision_cells(c.levels), field)
 
 
-def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) -> list:
-    """The cells of the pair (del_v, lk_v) by size: the faces F with F + v not a face.
-
-    v defaults to the vertex in the most faces of the top size, the smallest
-    on ties.  A face with v is never a cell; one without v is, unless it is
-    in the link {G - v : G a face with v} taken one size up.
-    """
-    if v is None:
-        top = levels[-1]
-        v = max(range(reduce(or_, top).bit_length()),
-                key=lambda u: sum(1 for f in top if f >> u & 1), default=0)
-    b = 1 << v
-    cells = []
-    for f, level in enumerate(levels):
-        up = {g ^ b for g in levels[f + 1] if g & b} if f + 1 < len(levels) else ()
-        cells.append(tuple(m for m in level if not m & b and m not in up))
-    return cells
-
-
 def _compute_profile(cells: Sequence[Sequence[int]], field: FieldSpec) -> HomologyProfile:
     """Profile of a pair from its cells of sizes 0..dim+1, reduced top down with clearing.
 
-    For a complex c and a vertex v (`_excision_cells`), the star st = {F : F + v in c} is a cone, so its
-    augmented chains are acyclic and the sequence of the pair gives
+    For a complex c and a vertex v (`complexes._excision_cells`), the star
+    st = {F : F + v in c} is a cone, so its augmented chains are acyclic
+    and the sequence of the pair gives
     H~_k(c) = H_k(c, st) = H_k(del_v c, lk_v c) by excision (Forman, Adv.
     Math. 1998; Jonsson, LNM 1928, 2008).  st is closed under taking faces,
     so the quotient boundary of a cell, a face outside st, is its boundary

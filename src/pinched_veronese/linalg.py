@@ -19,12 +19,33 @@ map leaves its row space, and so its rank, unchanged over every field.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
+
+# Miller-Rabin to these bases, the first 13 primes, is exact below the bound
+# (Sorenson-Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % f for f in range(2, isqrt(p) + 1))
+    """Deterministic Miller-Rabin; a p at or above the bound is refused."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"{p} is too large: primes are decided only below {_PRIME_BOUND}")
+    if p < 2 or any(p % a == 0 for a in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * odd
+    for a in _BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 class _FieldFields(NamedTuple):

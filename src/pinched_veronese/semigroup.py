@@ -182,6 +182,13 @@ class _HoleSet(NamedTuple):
                 yield tuple(a if j == p else total - a if j == r else 0 for j in range(len(h)))
         yield from self.points
 
+    def count(self, n: int, total: int) -> int:
+        """How many holes there are, in N^n at this total: the half-space
+        has C(total - low + n - 1, n - 1), `odd` has one for each odd
+        a < total, and each point is one."""
+        half = comb(total - self.half[1] + n - 1, n - 1) if self.half else 0
+        return half + (total // 2 if self.odd else 0) + len(self.points)
+
 
 @lru_cache(maxsize=512)
 def _holes(config: PinchConfig, t: int) -> _HoleSet:

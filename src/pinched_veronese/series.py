@@ -16,7 +16,7 @@ from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .errors import UncertifiedTableError
-from .semigroup import PinchClass, PinchConfig
+from .semigroup import PinchConfig, _holes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .betti import BettiTable
@@ -112,29 +112,11 @@ def _lowest_terms(h: Polynomial, e: int) -> tuple[Polynomial, int]:
 # -- Hilbert series of the pinched ring ------------------------------------
 
 
-def _hole_exponent(config: PinchConfig) -> int:
-    """q with sum_t holes(t) w^t = w / (1 - w)^q: n, 1 or 0 by class."""
-    if config.d == 2 and config.pinch_class is PinchClass.MAX_D_MINUS_1:
-        # t vectors (odd, odd, 0, ..., 0) are missing in degree 2t, not one
-        return 2
-    return {
-        PinchClass.MAX_D: config.n,
-        PinchClass.MAX_D_MINUS_1: 1,
-        PinchClass.INTERIOR: 0,
-    }[config.pinch_class]
-
-
 def hilbert_function(config: PinchConfig, t: int) -> int:
-    """Dimension of the coarse degree-t part: C(td+n-1, n-1) minus the holes.
-
-    The holes of degree t number C(t+q-2, q-1) for t >= 1, the w^t
-    coefficient of w / (1 - w)^q; for q = 0 that is one hole, at t = 1.
-    """
-    full = comb(t * config.d + config.n - 1, config.n - 1)
-    q = _hole_exponent(config)
-    if t == 0 or (q == 0 and t > 1):
-        return full
-    return full - (1 if q == 0 else comb(t + q - 2, q - 1))
+    """Dimension of the coarse degree-t part: C(td+n-1, n-1) minus the
+    holes of that total (`semigroup._holes`)."""
+    total = t * config.d
+    return comb(total + config.n - 1, config.n - 1) - _holes(config, t).count(config.n, total)
 
 
 def _cleared_numerator(config: PinchConfig) -> Polynomial:

@@ -446,6 +446,16 @@ def test_cli_rationals_field(capsys):
     assert payload["field"] == "QQ" and payload["pdim"] == 3
 
 
+def test_cli_large_prime_fields(capsys):
+    # a 61-bit prime field is accepted at once; a prime above the bound of
+    # the deterministic primality test is a usage error
+    code, out = run_cli(capsys, "betti", "-d", "3", "--pinch", "1",
+                        "--field", str(2**61 - 1), "--format", "json")
+    assert code == 0 and json.loads(out)["table"]["field"] == f"GF({2**61 - 1})"
+    assert main(["betti", "-d", "3", "--pinch", "1", "--field", str(2**89 - 1)]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
 def test_cli_cache_round_trip_bytes(tmp_path, capsys):
     argv = ["betti", "-d", "5", "--pinch", "2", "--format", "json",
             "--cache-dir", str(tmp_path)]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from pinched_veronese import (
     Multidegree,
     PinchConfig,
-    SimplicialComplex,
     alexander_dual,
     build_divisor_complex,
     build_veronese_complex,
@@ -18,6 +17,8 @@ from pinched_veronese import (
     veronese_generators,
 )
 from pinched_veronese import complexes, semigroup
+from pinched_veronese.complexes import _excision_cells
+from complex_helpers import from_faces, full_simplex, simplex_boundary, validate, void
 
 
 def cfg(n, d, m):
@@ -61,8 +62,8 @@ def test_missing_face_at_pinch_sum():
     h = m0 + m1 + config.m
     c = build_divisor_complex(h, config)
     i0, i1 = gens.index(m0), gens.index(m1)
-    assert not c.has_face({i0, i1})
-    assert c.has_face({i0}) and c.has_face({i1}) and c.has_face(())
+    assert F(i0, i1) not in c.faces
+    assert F(i0) in c.faces and F(i1) in c.faces and F() in c.faces
 
 
 def test_sum_of_everything_is_simplex_boundary():
@@ -73,14 +74,14 @@ def test_sum_of_everything_is_simplex_boundary():
     for g in veronese_generators(2, 4):
         h = h + g
     c = build_divisor_complex(h, config)
-    assert c.faces == SimplicialComplex.simplex_boundary(range(4)).faces
+    assert c.faces == simplex_boundary(range(4)).faces
 
 
 def test_built_complexes_are_downward_closed():
     for config in (cfg(2, 5, (2, 3)), cfg(2, 4, (3, 1)), cfg(3, 3, (1, 1, 1))):
         for t in range(4):
             for h in enumerate_degree(config, t):
-                build_divisor_complex(h, config).validate()
+                validate(build_divisor_complex(h, config))
 
 
 def test_face_membership_matches_definition():
@@ -99,7 +100,7 @@ def test_face_membership_matches_definition():
                 if rem is None:
                     break
             expected = rem is not None and is_member_closed(rem, config)
-            assert c.has_face(sub) == expected, sub
+            assert (F(*sub) in c.faces) == expected, sub
 
 
 @pytest.mark.parametrize("n, d, m, t_max", [
@@ -138,18 +139,18 @@ def test_faces_match_bruteforce_membership(n, d, m, t_max):
 
 
 def test_dual_of_simplex_boundary_is_empty_complex():
-    c = SimplicialComplex.simplex_boundary(range(5))
+    c = simplex_boundary(range(5))
     assert alexander_dual(c).faces == {F()}
 
 
 def test_dual_of_full_simplex_is_void():
-    c = SimplicialComplex.full_simplex(range(4))
+    c = full_simplex(range(4))
     assert alexander_dual(c).is_void
 
 
 def test_dual_rejects_void():
     with pytest.raises(ValueError):
-        alexander_dual(SimplicialComplex.void((0, 1)))
+        alexander_dual(void((0, 1)))
 
 
 def test_dual_involution_over_fixed_ground():
@@ -166,7 +167,7 @@ def test_dual_involution_over_fixed_ground():
 
 
 def test_dual_ground_must_cover_support():
-    c = SimplicialComplex((0, 1), [F(), F(0), F(1)])
+    c = from_faces((0, 1), [F(), F(0), F(1)])
     with pytest.raises(ValueError):
         alexander_dual(c, ground=(0,))
 
@@ -175,18 +176,18 @@ def test_dual_ground_must_cover_support():
 
 
 def test_link_of_full_simplex():
-    c = SimplicialComplex.full_simplex(range(3))
+    c = full_simplex(range(3))
     assert link(c, 1).faces == c.faces
 
 
 def test_link_on_triangle_boundary():
-    c = SimplicialComplex.simplex_boundary(range(3))
+    c = simplex_boundary(range(3))
     out = link(c, 0)
     assert out.faces == {F(), F(0), F(1), F(2), F(0, 1), F(0, 2)}
 
 
 def test_link_void_when_vertex_in_no_face():
-    c = SimplicialComplex((0, 1, 2), [F(), F(0), F(1), F(0, 1)])
+    c = from_faces((0, 1, 2), [F(), F(0), F(1), F(0, 1)])
     assert link(c, 2).is_void
     with pytest.raises(ValueError):
         link(c, 9)
@@ -257,9 +258,9 @@ def test_decomposition_preconditions():
 
 def test_veronese_complex_matches_unpinched_membership():
     c = build_veronese_complex(Multidegree((4, 4)), 2, 4)
-    c.validate()
+    validate(c)
     assert c.ground == tuple(range(5))
-    assert c.has_face(())
+    assert F() in c.faces
 
 
 @pytest.mark.parametrize("n, d, h", [
@@ -271,7 +272,7 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
     # gives the void complex
     gens = veronese_generators(n, d)
     c = build_veronese_complex(Multidegree(h), n, d)
-    c.validate()
+    validate(c)
     assert c.ground == tuple(range(len(gens)))
     expected = {F(*sub) for k in range(len(gens) + 1)
                 for sub in itertools.combinations(range(len(gens)), k)
@@ -409,13 +410,13 @@ def random_complexes(draw):
         for k in range(1, len(mx) + 1):
             for sub in itertools.combinations(sorted(mx), k):
                 faces.add(F(*sub))
-    return SimplicialComplex(verts, faces)
+    return from_faces(verts, faces)
 
 
 @given(random_complexes())
 @settings(max_examples=60, deadline=None)
 def test_random_complex_dual_involution(c):
-    c.validate()
+    validate(c)
     d = alexander_dual(c)
     if not d.is_void:
         assert alexander_dual(d, d.ground).faces == c.faces
@@ -430,13 +431,17 @@ def test_link_is_subcomplex_and_contains_star(c, data):
     for f in c.faces:
         if v in f:
             assert f in lk.faces
+    # each level splits into the link's faces and the cells of v's pair
+    for level, kept, cut in itertools.zip_longest(c.levels, lk.levels, _excision_cells(c.levels, v),
+                                                  fillvalue=()):
+        assert set(kept).isdisjoint(cut) and set(kept) | set(cut) == set(level)
 
 
 def dual_by_complements(c, ground):
     """Reference dual: complements within `ground` of the non-faces of c, as frozensets."""
     faces = c.faces
     non_faces = (F(*f) for k in range(len(ground) + 1) for f in itertools.combinations(ground, k))
-    return SimplicialComplex(ground, [F(*ground) - f for f in non_faces if f not in faces])
+    return from_faces(ground, [F(*ground) - f for f in non_faces if f not in faces])
 
 
 @given(random_complexes(), st.sets(st.integers(0, 8), max_size=3))
@@ -466,7 +471,7 @@ def test_involution_levels_compare_like_face_sets(a, b, data):
             assert (dd.levels == other.levels) == (set(dd.faces) == set(other.faces))
         assert dd.levels == c.levels
         drop = data.draw(st.sampled_from(sorted(dd.faces, key=sorted)))
-        broken = SimplicialComplex(dd.ground, [f for f in dd.faces if f != drop])
+        broken = from_faces(dd.ground, [f for f in dd.faces if f != drop])
         assert broken.levels != c.levels and broken.faces != c.faces
 
 
@@ -476,4 +481,4 @@ def test_divisor_complex_levels_are_canonical():
         for t in range(5):
             for h in enumerate_degree(config, t):
                 c = build_divisor_complex(h, config)
-                assert c.levels == SimplicialComplex(c.ground, c.faces).levels, h
+                assert c.levels == from_faces(c.ground, c.faces).levels, h

@@ -11,7 +11,6 @@ from pinched_veronese import (
     RATIONALS,
     FieldSpec,
     HomologyProfile,
-    SimplicialComplex,
     boundary_matrix,
     boundary_square_is_zero,
     build_divisor_complex,
@@ -21,8 +20,10 @@ from pinched_veronese import (
     witness_non_cm,
 )
 from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes
-from pinched_veronese.homology import _compute_profile, _excision_cells
+from pinched_veronese.complexes import _excision_cells
+from pinched_veronese.homology import _compute_profile
 from pinched_veronese.linalg import pivot_columns
+from complex_helpers import faces_of_dim, from_faces, full_simplex, simplex_boundary, validate, void
 
 FIELDS = (FieldSpec(32003), GF2, RATIONALS)
 
@@ -110,7 +111,7 @@ def test_fieldspec_validation_and_parse():
 
 
 def test_empty_complex_profile():
-    c = SimplicialComplex((0, 1), [F()])
+    c = from_faces((0, 1), [F()])
     for field in FIELDS:
         prof = reduced_homology(c, field)
         assert prof[-1] == 1
@@ -118,33 +119,33 @@ def test_empty_complex_profile():
 
 
 def test_void_profile_trivial():
-    prof = reduced_homology(SimplicialComplex.void(()), FieldSpec(32003))
+    prof = reduced_homology(void(()), FieldSpec(32003))
     assert prof.is_trivial
 
 
 def test_simplex_boundary_has_top_homology():
     for nv in (3, 4, 5, 6):
-        c = SimplicialComplex.simplex_boundary(range(nv))
+        c = simplex_boundary(range(nv))
         for field in FIELDS:
             prof = reduced_homology(c, field)
             assert prof.items() == [(nv - 2, 1)], (nv, field)
 
 
 def test_two_isolated_vertices():
-    c = SimplicialComplex((0, 1), [F(), F(0), F(1)])
+    c = from_faces((0, 1), [F(), F(0), F(1)])
     prof = reduced_homology(c)
     assert prof.items() == [(0, 1)]
 
 
 def test_full_simplex_contractible():
-    c = SimplicialComplex.full_simplex(range(5))
+    c = full_simplex(range(5))
     assert reduced_homology(c).is_trivial
 
 
 def test_circle_and_sphere():
-    circle = SimplicialComplex((0, 1, 2), [F(), F(0), F(1), F(2), F(0, 1), F(0, 2), F(1, 2)])
+    circle = from_faces((0, 1, 2), [F(), F(0), F(1), F(2), F(0, 1), F(0, 2), F(1, 2)])
     assert reduced_homology(circle).items() == [(1, 1)]
-    sphere = SimplicialComplex.simplex_boundary(range(4))
+    sphere = simplex_boundary(range(4))
     assert reduced_homology(sphere).items() == [(2, 1)]
 
 
@@ -158,7 +159,7 @@ def test_profile_type_contract():
 
 
 def test_boundary_matrix_shape_and_signs():
-    c = SimplicialComplex.full_simplex(range(3))
+    c = full_simplex(range(3))
     rows = boundary_matrix(c.levels, 1)  # edges -> vertices
     # edges 01, 02, 12; removing the j-th smallest vertex has sign (-1)^j
     assert rows == [{1: 1, 0: -1}, {2: 1, 0: -1}, {2: 1, 1: -1}]
@@ -256,7 +257,7 @@ def test_boundary_square_zero_on_divisor_complexes():
 def test_boundary_square_catches_one_flipped_sign(monkeypatch):
     import pinched_veronese.homology as homology
 
-    c = SimplicialComplex.full_simplex(range(4))
+    c = full_simplex(range(4))
     built = []
     original = homology.boundary_matrix
 
@@ -296,7 +297,7 @@ def test_boundary_rows_are_built_per_call():
 
 
 def test_boundary_matrix_skips_rows_in_order():
-    c = SimplicialComplex.full_simplex(range(4))
+    c = full_simplex(range(4))
     for k in range(0, c.dim + 1):
         rows = boundary_matrix(c.levels, k)
         for skip in ({0}, set(range(0, len(rows), 2)), set(range(len(rows)))):
@@ -320,7 +321,7 @@ def from_facets(facets):
             for sub in itertools.combinations(sorted(mx), k):
                 faces.add(frozenset(sub))
     verts = sorted(set().union(*map(set, facets)))
-    return SimplicialComplex(verts, faces)
+    return from_faces(verts, faces)
 
 
 def test_projective_plane_separates_fields():
@@ -330,10 +331,10 @@ def test_projective_plane_separates_fields():
     facets = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
               (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
     rp2 = from_facets(facets)
-    rp2.validate()
+    validate(rp2)
     # closed surface: every edge lies in exactly two triangles
-    for edge in rp2.faces_of_dim(1):
-        cofaces = [f for f in rp2.faces_of_dim(2) if set(edge) <= set(f)]
+    for edge in faces_of_dim(rp2, 1):
+        cofaces = [f for f in faces_of_dim(rp2, 2) if set(edge) <= set(f)]
         assert len(cofaces) == 2
     assert reduced_homology(rp2, GF2).items() == [(1, 1), (2, 1)]
     assert reduced_homology(rp2, RATIONALS).is_trivial
@@ -380,7 +381,7 @@ def dense_boundary(c, k):
 @given(downward_closed_complexes())
 @settings(max_examples=60, deadline=None)
 def test_reduced_homology_matches_dense_oracle(c):
-    c.validate()
+    validate(c)
     counts = {k: sum(1 for f in c.faces if len(f) == k + 1) for k in range(-1, c.dim + 1)}
     for p in (2, 5, 32003, None):
         ranks = {k: rank_oracle(*dense_boundary(c, k), p) for k in range(0, c.dim + 2)}

@@ -109,6 +109,12 @@ def test_pickle_round_trips_the_worker_arguments():
     (lambda: PinchConfig(2, 3, (1, 1)), "pinch vector (1, 1) has total degree 2, expected d=3"),
     (lambda: FieldSpec(4), "4 is not prime"),
     (lambda: FieldSpec.parse("gf(1)"), "1 is not prime"),
+    # strong pseudoprimes to the bases 2..23 and 2, 3, 5, 7
+    (lambda: FieldSpec(3825123056546413051), "3825123056546413051 is not prime"),
+    (lambda: FieldSpec(3215031751), "3215031751 is not prime"),
+    # a prime above the bound where Miller-Rabin on 13 bases is exact
+    (lambda: FieldSpec(2**89 - 1), "618970019642690137449562111 is too large: "
+                                   "primes are decided only below 3317044064679887385961981"),
     # the NamedTuple helpers validate as the constructor does
     (lambda: PinchConfig(2, 3, (1, 2))._replace(d=7),
      "pinch vector (1, 2) has total degree 3, expected d=7"),
@@ -116,11 +122,26 @@ def test_pickle_round_trips_the_worker_arguments():
     (lambda: FieldSpec._make((4,)), "4 is not prime"),
     (lambda: GF2._replace(p=6), "6 is not prime"),
 ], ids=("n", "d", "pinch-length", "pinch-total", "field", "parsed-field",
-        "config-replace", "config-make", "field-make", "field-replace"))
+        "pseudoprime-23", "pseudoprime-7", "field-too-large", "config-replace", "config-make", "field-make", "field-replace"))
 def test_validation_messages(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
     assert str(excinfo.value) == message
+
+
+def test_prime_fields_small_and_large_are_accepted():
+    # decided by Miller-Rabin, not by trial division up to the square root
+    def accepted(p):
+        try:
+            FieldSpec(p)
+        except ValueError:
+            return False
+        return True
+
+    assert [p for p in range(-2, 50) if accepted(p)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    assert FieldSpec(2**61 - 1).p == 2**61 - 1
+    assert FieldSpec.parse("1000000000000000003").p == 10**18 + 3
 
 
 def test_namedtuple_helpers_build_valid_records():

@@ -141,6 +141,23 @@ def test_hilbert_function_counts_the_lattice():
             assert hilbert_function(config, t) == len(enumerate_degree(config, t)), (config, t)
 
 
+@pytest.mark.parametrize("n, d_max", [(2, 6), (3, 4)])
+def test_hilbert_function_matches_bruteforce_membership(n, d_max):
+    # an oracle that never reads the hole list: every composition of t*d,
+    # decided by the dynamic-programming membership test
+    from pinched_veronese import is_member_bruteforce
+
+    for d in range(2, d_max + 1):
+        for m in product(range(d + 1), repeat=n):
+            if sum(m) != d:
+                continue
+            config = cfg(n, d, m)
+            for t in range(5):
+                members = sum(is_member_bruteforce(h, config)
+                              for h in product(range(t * d + 1), repeat=n) if sum(h) == t * d)
+                assert hilbert_function(config, t) == members, (config, t)
+
+
 def test_closed_series_expands_to_the_hilbert_function():
     for n in (2, 3, 4):
         for d in range(2, 7):
