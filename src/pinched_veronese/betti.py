@@ -71,9 +71,6 @@ class BettiTable:
         """True when the last scanned coarse degree is identically zero."""
         return all(self.entry(i, self.s_max) == 0 for i in range(self.i_max + 1))
 
-    def same_entries(self, other: "BettiTable") -> bool:
-        return self.nonzero_cells() == other.nonzero_cells()
-
     def to_text(self) -> str:
         """Macaulay-style rendering: row r collects the entries with s - i = r."""
         max_row = max((s - i for (i, s), v in self.entries.items() if v), default=0)

@@ -39,7 +39,6 @@ from .series import (
     canonical_series_check,
     h_polynomial,
     hilbert_closed,
-    hilbert_function,
     in_z,
     one_minus_w,
 )
@@ -154,8 +153,7 @@ def _cmd_hilbert(args) -> CommandResult:
     rows = [["part", "coefficients"],
             ["numerator", " ".join(map(str, num))], ["denominator", " ".join(map(str, den))]]
     if args.expand is not None:
-        values = (hilbert_function(config, t) for t in range(args.expand // config.d + 1))
-        payload["expansion"] = in_z(values, config.d, order=args.expand)
+        payload["expansion"] = series.series(args.expand)
         rows.append(["expansion", " ".join(map(str, payload["expansion"]))])
 
     def text():

@@ -43,18 +43,6 @@ class Multidegree(tuple):
 
     __radd__ = __add__
 
-    def minus(self, other) -> Optional["Multidegree"]:
-        """Componentwise difference, or None if it leaves N^n."""
-        if len(self) != len(other):
-            raise ValueError(f"dimension mismatch: {len(self)} vs {len(other)}")
-        diff = tuple(a - b for a, b in zip(self, other))
-        if any(c < 0 for c in diff):
-            return None
-        return Multidegree(diff)
-
-    def scaled(self, k: int) -> "Multidegree":
-        return Multidegree(k * c for c in self)
-
     def permuted(self, perm: Sequence[int]) -> "Multidegree":
         """Reindex coordinates: result[j] = self[perm[j]]."""
         return Multidegree(self[p] for p in perm)

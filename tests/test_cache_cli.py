@@ -89,7 +89,7 @@ def test_cache_recomputes_profiles_of_another_engine(tmp_path):
         assert len(reloaded) == 0
     # a scan through the stale file computes the true profile and rewrites it
     table = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
-    assert table.same_entries(graded_betti(config))
+    assert table.nonzero_cells() == graded_betti(config).nonzero_cells()
     rewritten = HomologyCache(tmp_path, config, DEFAULT_FIELD)
     assert rewritten.get(h) == reduced_homology(build_divisor_complex(h, config))
     assert json.loads(cache.path.read_text())["engine"] == ENGINE

@@ -189,4 +189,4 @@ def test_cold_scan_caches_no_certified_element(tmp_path):
             assert (reloaded.get(h) is None) == (h in skipped)
     assert len(reloaded) + len(skipped) == sum(
         len(enumerate_degree(config, s)) for s in range(table.s_max + 1))
-    assert graded_betti(config, cache=reloaded).same_entries(table)
+    assert graded_betti(config, cache=reloaded).nonzero_cells() == table.nonzero_cells()

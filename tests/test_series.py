@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from pinched_veronese import (
     veronese_module_series,
 )
 from pinched_veronese import series as series_module
+from pinched_veronese.cli import main
 from pinched_veronese.series import (
     _cleared, _cleared_numerator, _lowest_terms, in_z, one_minus_w)
 
@@ -166,6 +168,34 @@ def test_closed_series_expands_to_the_hilbert_function():
                 coeffs = hilbert_closed(config).series(10 * d)
                 assert coeffs[::d] == [hilbert_function(config, t) for t in range(11)]
                 assert not any(c for k, c in enumerate(coeffs) if k % d)
+
+
+def expand_cli(capsys, config, order, fmt):
+    argv = ["hilbert", "-n", str(config.n), "-d", str(config.d),
+            "--pinch", ",".join(map(str, config.m)), "--expand", str(order), "--format", fmt]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def per_degree_expansion(config, order):
+    """The expansion one coarse degree at a time, through `hilbert_function`."""
+    values = [hilbert_function(config, t) for t in range(order // config.d + 1)]
+    return in_z(values, config.d, order=order)
+
+
+def test_cli_expansion_matches_the_per_degree_hilbert_function(capsys):
+    # `hilbert --expand` reads the closed series; each degree on its own is the oracle
+    for n, ds in ((2, range(2, 7)), (3, range(2, 5))):
+        for d in ds:
+            for m in pinch_representatives(n, d):
+                config = cfg(n, d, m)
+                payload = json.loads(expand_cli(capsys, config, 40 * d, "json"))
+                assert payload["expansion"] == per_degree_expansion(config, 40 * d), (n, d, m)
+    # a long CSV expansion of the d = 2 parity-hole class
+    config = cfg(3, 2, (1, 1, 0))
+    part, coefficients = expand_cli(capsys, config, 100_000, "csv").splitlines()[-1].split(",")
+    assert part == "expansion"
+    assert list(map(int, coefficients.split())) == per_degree_expansion(config, 100_000)
 
 
 # -- closed Hilbert series ---------------------------------------------------
