@@ -14,9 +14,9 @@ from itertools import accumulate
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
-from .complexes import build_divisor_complex, veronese_generators
+from .complexes import build_divisor_complex, divisor_bits, veronese_generators
 from .errors import ResourceLimitExceeded, UncertifiedTableError
-from .homology import HomologyProfile, reduced_homology
+from .homology import HomologyProfile, reduced_homology, settled_profile
 from .linalg import DEFAULT_FIELD, FieldSpec
 from .semigroup import (
     Multidegree,
@@ -123,8 +123,14 @@ def degree_cost(config: PinchConfig, t: Optional[int] = None) -> int:
 
 
 def _profile_worker(args) -> HomologyProfile:
-    config, field, h = args
-    return reduced_homology(build_divisor_complex(h, config), field)
+    """The profile of h, settled on the bitset of its divisor complex when
+    the matching can; otherwise that complex is built and reduced."""
+    config, field, h, cap = args
+    faces, bits = divisor_bits(h, config, cap)
+    profile = settled_profile(faces, bits.vertices, bits.sizes)
+    if profile is None:
+        profile = reduced_homology(build_divisor_complex(h, config), field)
+    return profile
 
 
 # one coordinate demand of a cone apex g: (q, T_q, need_q), see `_cone_apexes`
@@ -251,7 +257,12 @@ def _profiles_for_degrees(
     every h outside the box h_q < b, so only the box is enumerated, and
     what the two-condition apexes certify in it is dropped.  The rest are
     read from the cache or computed by `_profile_worker`, with jobs capped
-    at the CPU count; more than one job runs on `_worker_pool`.
+    at the CPU count; more than one job runs on `_worker_pool`.  The worker
+    first settles h on the bitset of its divisor complex
+    (`complexes.divisor_bits`, read on a table of rows up to
+    max(degrees)*d that the first such h builds), by an element matching
+    (`homology.settled_profile`); only the h it leaves are built and
+    reduced.
     """
     apexes = _cone_apexes(config)
     work: list[tuple[int, Multidegree]] = []
@@ -273,7 +284,7 @@ def _profiles_for_degrees(
         else:
             missing.append(h)
     jobs = min(jobs, os.cpu_count() or 1)
-    args = [(config, field, h) for h in missing]
+    args = [(config, field, h, max(degrees) * config.d) for h in missing]
     if jobs > 1 and len(missing) > 1:
         results = list(_worker_pool(jobs).map(
             _profile_worker, args, chunksize=max(1, len(missing) // (4 * jobs))))

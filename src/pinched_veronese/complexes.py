@@ -18,6 +18,11 @@ masks in that order, which subsets have the same generator sum, and per
 coordinate bitmasks of those classes.  A divisor complex picks, level by
 level, the sum classes v with h - v in H by ANDing bitmasks and clearing
 the classes of the holes (`semigroup._holes`), and keeps their subsets.
+
+A Betti scan first reads each divisor complex as one bitset over all 2^V
+subset masks (`divisor_bits`), on a second bounded memo, `_subset_bits`,
+of per-vertex, per-size and per-coordinate bitsets; it builds levels only
+for the complexes that `homology.settled_profile` cannot settle.
 """
 
 from __future__ import annotations
@@ -184,6 +189,89 @@ def _level(tables: list[_Level], gens: tuple[tuple[int, ...], ...], f: int) -> _
             at_most.append(tuple(accumulate(by_value, or_)))
         tables.append(_Level(tuple(masks), tuple(ids), index, tuple(at_most)))
     return tables[f]
+
+
+class _SubsetBits(NamedTuple):
+    """Bitsets over the subsets F of the vertices 0..V-1, one Python int
+    each, bit F standing for the subset with mask F: `vertices[v]`, the F
+    with v; `sizes[f]`, the F with f vertices; and `at_most[j][x]`, the F
+    whose generator sum has j-th coordinate at most x."""
+
+    vertices: tuple[int, ...]
+    sizes: tuple[int, ...]
+    at_most: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=4)
+def _subset_bits(gens: tuple[tuple[int, ...], ...], cap: int) -> _SubsetBits:
+    """The `_SubsetBits` of the vertices 0..len(gens)-1, vertex j having
+    generator gens[j], up to coordinate `cap` (bounded memo).
+
+    A table holds at most n*(cap+1) + V + cap/d + 1 ints of 2^V bits, so a
+    scan passes as `cap` the largest coordinate it can ask about, s_max*d.
+    The rows of coordinate j stop sooner where the sum of all gens[k][j] is
+    smaller (their last row is then every subset), and `sizes` stops at
+    cap/d vertices, the largest face an h with |h| <= cap can have.  At the
+    default budget the largest table that a scan builds is about 17 MB
+    (n=2, d=21, s_max=1).  Nothing loops over the subsets:
+    `vertices[v]` repeats a byte pattern, and the rest is grown one vertex
+    at a time, the subsets of 0..k being those of 0..k-1 and their shifts
+    by 2^k, which gain vertex k, its size and its generator.
+    """
+    nbits = 1 << len(gens)
+    every = (1 << nbits) - 1
+    vertices = []
+    for v in range(len(gens)):
+        if v < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[v]]) * -(-nbits // 8)
+        else:
+            block = 1 << (v - 3)
+            pattern = (b"\0" * block + b"\xff" * block) * (nbits >> (v + 1))
+        vertices.append(int.from_bytes(pattern, "little") & every)
+    sizes = [1] + [0] * min(len(gens), cap // sum(gens[0]))
+    rows = [[1] + [0] * min(cap, sum(g[j] for g in gens)) for j in range(len(gens[0]))]
+    for k, g in enumerate(gens):
+        shift = 1 << k
+        for f in range(min(k + 1, len(sizes) - 1), 0, -1):
+            sizes[f] |= sizes[f - 1] << shift
+        for row, c in zip(rows, g):
+            for x in range(len(row) - 1, c - 1, -1):
+                row[x] |= row[x - c] << shift
+    for row in rows:
+        for x in range(1, len(row)):
+            row[x] |= row[x - 1]
+    return _SubsetBits(tuple(vertices), tuple(sizes), tuple(map(tuple, rows)))
+
+
+def divisor_bits(h, config: PinchConfig, cap: int) -> tuple[int, _SubsetBits]:
+    """The divisor complex of h in H as a bitset, with the `_subset_bits`
+    table of cap >= |h| it is read on: bit F is set when h - sum(F) is in H.
+
+    As in `_divisor_levels`, the F with sum(F) <= h are the AND of one
+    `at_most` row per coordinate, and at each size f the holes of total
+    |h| - f*d are cleared: a half-space r_p >= low takes the f-subsets with
+    sum(F)_p <= h_p - low, and each other hole r the class sum(F) = h - r,
+    the AND over j of at_most[j][x] without at_most[j][x-1].  A bit is
+    cleared as a ^= a & b: the complement of a wide int costs far more.
+    """
+    bits = _subset_bits(generate_generators(config), cap)
+    at_most = bits.at_most
+    faces = reduce(and_, (row[min(x, len(row) - 1)] for x, row in zip(h, at_most)))
+    d, total = config.d, sum(h)
+    for f in range(1, min(total // d, len(bits.sizes) - 1) + 1):
+        missing = _holes(config, total // d - f)
+        if missing.half:
+            p, low = missing.half
+            if h[p] >= low:
+                row = at_most[p]
+                faces ^= faces & bits.sizes[f] & row[min(h[p] - low, len(row) - 1)]
+        for r in missing.listed(h, total - f * d):
+            v = tuple(map(sub, h, r))
+            # no subset's sum reaches past a shortened row
+            if all(0 <= x < len(row) for x, row in zip(v, at_most)):
+                faces ^= faces & reduce(and_, (row[x] ^ row[x - 1] if x else row[0]
+                                               for x, row in zip(v, at_most)))
+    return faces, bits
 
 
 # bin() digits as bytes 0/1, so that compress reads them as truth values

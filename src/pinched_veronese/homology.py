@@ -4,12 +4,15 @@ The augmented chain complex includes the empty face in degree -1, so the
 complex {[]} has one-dimensional homology in degree -1 and the divisor
 complex of 0 yields the Betti number 1 in homological degree 0.  Profiles
 are reduced, row by row, from the cells of one vertex's excision pair,
-which `complexes._excision_cells` lists; this module only reduces.
+which `complexes._excision_cells` lists.  A Betti scan first tries
+`settled_profile`, which reads a profile off a complex given as a bitset
+with no rank at all, when an iterated element matching leaves critical
+cells of one size.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 from .complexes import SimplicialComplex, _excision_cells
 from .linalg import DEFAULT_FIELD, FieldSpec, pivot_columns
@@ -164,6 +167,54 @@ def _compute_profile(cells: Sequence[Sequence[int]], field: FieldSpec) -> Homolo
         k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(-1, dim + 1)
     })
+
+
+def settled_profile(faces: int, vertices: Sequence[int],
+                    sizes: Sequence[int]) -> Optional[HomologyProfile]:
+    """The profile of a non-void complex over every field, when an iterated
+    element matching settles it; None when it does not.
+
+    The complex is a bitset, as `complexes.divisor_bits` gives it: bit F
+    is set for each face F, `vertices[v]` holds the F with v, and
+    `sizes[f]` the F with f vertices, for every size of a face.  The cells
+    of a vertex v are the faces F without v whose F + v is no face,
+    `faces & ~M_v & ~((faces & M_v) >> 2^v)`, since that shift takes F + v
+    to F.  There are |faces| - 2 * #{faces with v} of them, so the first
+    vertex is one in the most faces, the smallest on ties.  Then each vertex w
+    in turn pairs each cell F without w with F + w, when F + w is a cell
+    too, and the cells left are the critical ones.
+
+    Why the profile is exact.  Pairing F with F + v whenever both are faces
+    is an element matching on the augmented face poset, and the faces it
+    leaves are the cells of v: F - v is always a face.  Each later step is
+    an element matching on what the steps before left, so the union of all
+    the pairs is an acyclic matching (Jonsson, Simplicial Complexes of
+    Graphs, LNM 1928, 2008, iterated element matchings).  F is a facet of
+    F + w, with incidence +-1, a unit in Z and in every field, so algebraic
+    Morse theory (Skoldberg, Trans. AMS 2006) makes the augmented chain
+    complex over Z homotopy equivalent to one on the critical cells, with
+    a critical cell of k + 1 vertices in degree k.  If all critical cells
+    have one size k + 1, that complex has no differential, so H~_k is free
+    of rank their number, every other degree is 0, and the same holds over
+    every field.  With no critical cells, every degree is 0: an apex v of
+    a cone has no cells at all.
+    """
+    first = max(range(len(vertices)), key=lambda v: (faces & vertices[v]).bit_count())
+    # no complement of a wide int is taken: a & ~b is written a ^ (a & b)
+    with_first = faces & vertices[first]
+    critical = faces ^ with_first
+    critical ^= critical & (with_first >> (1 << first))
+    for w, m in enumerate(vertices):
+        # no cell has the first vertex, so it pairs none of them
+        if with_w := critical & m:
+            low = (critical ^ with_w) & (with_w >> (1 << w))
+            critical ^= low | low << (1 << w)
+    if not critical:
+        return HomologyProfile()
+    size = ((critical & -critical).bit_length() - 1).bit_count()
+    if critical & sizes[size] != critical:
+        return None
+    return HomologyProfile({size - 1: critical.bit_count()})
 
 
 def euler_characteristic_matches(c: SimplicialComplex, profile: HomologyProfile) -> bool:

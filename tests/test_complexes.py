@@ -275,7 +275,7 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
 # -- the shared subset tables -------------------------------------------------
 
 
-MEMOS = (complexes._sum_classes, semigroup._holes)
+MEMOS = (complexes._sum_classes, complexes._subset_bits, semigroup._holes)
 
 
 def clear_memos():
@@ -301,6 +301,30 @@ def test_tables_hold_no_subset_size_above_the_degree():
     assert len(complexes._sum_classes(gens)) == 6  # sizes 0..5 were asked for
     # a degree-5 element and its remainders have degrees 0, 1, ..., 5
     assert semigroup._holes.cache_info().currsize == 6
+
+
+def test_scan_builds_bitset_tables_on_demand_with_capped_rows():
+    # a scan builds its configuration's table when it meets its first
+    # uncertified element, on rows that stop at s_max*d, and the memo keeps
+    # at most four tables
+    from pinched_veronese import DEFAULT_FIELD, graded_betti
+    from pinched_veronese.betti import _profiles_for_degrees
+
+    clear_memos()
+    config = cfg(2, 6, (2, 4))
+    # every element of the guard degree is a certified cone
+    assert list(_profiles_for_degrees(config, DEFAULT_FIELD, [config.N + 1])) == []
+    assert complexes._subset_bits.cache_info().currsize == 0
+    for d, i in ((4, 2), (5, 2), (6, 3), (7, 3), (8, 4), (6, 2)):
+        config = cfg(2, d, (i, d - i))
+        graded_betti(config)
+        assert complexes._subset_bits.cache_info().currsize <= 4
+        cap = (config.N + 1) * d  # the default s_max is N+1
+        hits = complexes._subset_bits.cache_info().hits
+        bits = complexes._subset_bits(generate_generators(config), cap)
+        assert complexes._subset_bits.cache_info().hits == hits + 1, config
+        assert len(bits.sizes) == min(config.N - 1, cap // d) + 1
+        assert all(len(rows) <= cap + 1 for rows in bits.at_most)
 
 
 @pytest.mark.parametrize("config", [cfg(2, 9, (4, 5)), cfg(3, 4, (2, 1, 1)), cfg(4, 3, (2, 1, 0, 0))])

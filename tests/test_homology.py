@@ -16,12 +16,13 @@ from pinched_veronese import (
     build_divisor_complex,
     enumerate_degree,
     euler_characteristic_matches,
+    generate_generators,
     reduced_homology,
     witness_non_cm,
 )
 from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes
-from pinched_veronese.complexes import _excision_cells
-from pinched_veronese.homology import _compute_profile
+from pinched_veronese.complexes import _excision_cells, divisor_bits
+from pinched_veronese.homology import _compute_profile, settled_profile
 from pinched_veronese.linalg import pivot_columns
 from complex_helpers import faces_of_dim, from_faces, full_simplex, simplex_boundary, validate, void
 
@@ -449,3 +450,93 @@ def test_cleared_cell_profile_matches_on_every_vertex(c):
         expected = reduced_homology(c, field)
         for v in c.support():
             assert _compute_profile(_excision_cells(c.levels, v), field) == expected, (v, field)
+
+
+# -- profiles settled by an iterated element matching ------------------------
+
+
+SETTLE_FIELDS = (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS)
+
+
+def settle_or_reduce(config, h, s_max):
+    """Settle h as the scan does, on the table of cap s_max*d; check the
+    bitset against the built complex, and a settled profile against the
+    reduction over four fields.  True when h was settled."""
+    faces, bits = divisor_bits(h, config, s_max * config.d)
+    c = build_divisor_complex(h, config)
+    assert faces == sum(1 << m for level in c.levels for m in level), h
+    profile = settled_profile(faces, bits.vertices, bits.sizes)
+    if profile is None:
+        # an apex has no cells, so a cone always settles
+        assert not c.is_cone(), h
+        return False
+    for field in SETTLE_FIELDS:
+        assert reduced_homology(c, field) == profile, (h, field)
+    return True
+
+
+def test_settled_profiles_match_reduction_two_vars():
+    # every uncertified h of every n=2 pinch at d <= 8, as graded_betti
+    # scans it (s <= N+1)
+    settled = []
+    for d in range(2, 9):
+        for i in range(d + 1):
+            config = PinchConfig.from_pinch_index(d, i)
+            settled += [settle_or_reduce(config, h, config.N + 1)
+                        for h in uncertified(config, config.N + 1)]
+    assert 0 < settled.count(False) < settled.count(True)
+
+
+def test_settled_profiles_match_reduction_three_vars():
+    settled = [settle_or_reduce(PinchConfig(3, 3, Multidegree(m)), h, 8)
+               for m in ((3, 0, 0), (2, 1, 0), (1, 1, 1))
+               for h in uncertified(PinchConfig(3, 3, Multidegree(m)), 8)]
+    assert 0 < settled.count(False) < settled.count(True)
+
+
+@st.composite
+def pinched_elements(draw):
+    # any pinch vector, permuted ones too, and any element of its degree s,
+    # cones included; n=3 stops at d = 4, since a d = 5 table has 2^20-bit rows
+    n = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(2, 6 if n == 2 else 4))
+    cut = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+    m = tuple(b - a for a, b in zip((0, *cut), (*cut, d)))
+    config = PinchConfig(n, d, Multidegree(m))
+    s_max = draw(st.integers(0, config.N + 1 if n == 2 else 7))
+    s = draw(st.integers(0, s_max))
+    h = draw(st.sampled_from(enumerate_degree(config, s)))
+    return config, h, s_max
+
+
+@given(pinched_elements())
+@settings(max_examples=80, deadline=None)
+def test_settled_profile_matches_reduction_on_random_pinches(case):
+    config, h, s_max = case
+    settle_or_reduce(config, h, s_max)
+
+
+def test_subset_bits_match_the_subsets():
+    # each bit of each table row, against the subsets themselves
+    from pinched_veronese.complexes import _subset_bits
+
+    for config, cap in ((PinchConfig(3, 2, Multidegree((1, 1, 0))), 6),
+                        (PinchConfig(2, 5, Multidegree((2, 3))), 30),
+                        (PinchConfig(2, 3, Multidegree((3, 0))), 100)):
+        gens = generate_generators(config)
+        bits = _subset_bits(gens, cap)
+        subsets = range(1 << len(gens))
+
+        def members(pred):
+            return sum(1 << f for f in subsets if pred(f))
+
+        def total(f, j):
+            return sum(g[j] for v, g in enumerate(gens) if f >> v & 1)
+
+        assert bits.vertices == tuple(members(lambda f: f >> v & 1) for v in range(len(gens)))
+        assert len(bits.sizes) == min(len(gens), cap // config.d) + 1
+        assert bits.sizes == tuple(members(lambda f: f.bit_count() == k)
+                                   for k in range(len(bits.sizes)))
+        for j, rows in enumerate(bits.at_most):
+            assert len(rows) == min(cap, sum(g[j] for g in gens)) + 1
+            assert rows == tuple(members(lambda f: total(f, j) <= x) for x in range(len(rows)))
