@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import atexit
 import os
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
@@ -122,10 +122,12 @@ def degree_cost(config: PinchConfig, t: Optional[int] = None) -> int:
     return complexes * (1 << (config.N - 1))
 
 
-def _profile_worker(args) -> HomologyProfile:
-    """The profile of h, settled on the bitset of its divisor complex when
-    the matching can; otherwise that complex is built and reduced."""
-    config, field, h, cap = args
+def _element_profile(h, config: PinchConfig, field: FieldSpec, cap: int) -> HomologyProfile:
+    """The profile of h in H, settled on the bitset of its divisor complex
+    (a `divisor_bits` table with cap >= |h|) when the matching can, else
+    built and reduced; h = 0 has {empty face} and needs no table."""
+    if not any(h):
+        return HomologyProfile({-1: 1})
     faces, bits = divisor_bits(h, config, cap)
     profile = settled_profile(faces, bits.vertices, bits.sizes)
     if profile is None:
@@ -256,9 +258,9 @@ def _profiles_for_degrees(
     sent to the worker pool.  An apex with one condition h_q >= b certifies
     every h outside the box h_q < b, so only the box is enumerated, and
     what the two-condition apexes certify in it is dropped.  The rest are
-    read from the cache or computed by `_profile_worker`, with jobs capped
-    at the CPU count; more than one job runs on `_worker_pool`.  The worker
-    first settles h on the bitset of its divisor complex
+    read from the cache or computed by `_element_profile`, with jobs capped
+    at the CPU count; more than one job runs on `_worker_pool`.  It first
+    settles h on the bitset of its divisor complex
     (`complexes.divisor_bits`, read on a table of rows up to
     max(degrees)*d that the first such h builds), by an element matching
     (`homology.settled_profile`); only the h it leaves are built and
@@ -284,12 +286,13 @@ def _profiles_for_degrees(
         else:
             missing.append(h)
     jobs = min(jobs, os.cpu_count() or 1)
-    args = [(config, field, h, max(degrees) * config.d) for h in missing]
+    # map stops at `missing`, the one finite iterable
+    fixed = repeat(config), repeat(field), repeat(max(degrees) * config.d)
     if jobs > 1 and len(missing) > 1:
         results = list(_worker_pool(jobs).map(
-            _profile_worker, args, chunksize=max(1, len(missing) // (4 * jobs))))
+            _element_profile, missing, *fixed, chunksize=max(1, len(missing) // (4 * jobs))))
     else:
-        results = map(_profile_worker, args)
+        results = map(_element_profile, missing, *fixed)
     profiles.update(zip(missing, results))
     if cache is not None:
         for h in missing:
@@ -440,8 +443,8 @@ def witness_non_cm(
     the boundary of a simplex on all generators, giving top homology at
     i = N-2.  max(m) = d-1 with n > 2: h = m plus N-n+1 generators avoiding m
     and the pure power at m's top position, giving homology at i = N-n.
-    Much cheaper than a table scan: one complex, whole, whose cost proxy is
-    `degree_cost(config)`.
+    Much cheaper than a table scan: one complex, whose cost proxy is
+    `degree_cost(config)`, settled on its bitset as the scan settles h.
     """
     if is_cohen_macaulay(config):
         raise ValueError(
@@ -468,7 +471,7 @@ def witness_non_cm(
         h = sum(chosen, config.m)
         k = config.N - config.n - 1
         index = config.N - config.n
-    dim = reduced_homology(build_divisor_complex(h, config), field)[k]
+    dim = _element_profile(h, config, field, h.total)[k]
     if dim <= 0:
         raise ArithmeticError(
             f"witness construction produced trivial homology at degree {k} for {config}"

@@ -208,30 +208,25 @@ def _subset_bits(gens: tuple[tuple[int, ...], ...], cap: int) -> _SubsetBits:
     generator gens[j], up to coordinate `cap` (bounded memo).
 
     A table holds at most n*(cap+1) + V + cap/d + 1 ints of 2^V bits, so a
-    scan passes as `cap` the largest coordinate it can ask about, s_max*d.
-    The rows of coordinate j stop sooner where the sum of all gens[k][j] is
-    smaller (their last row is then every subset), and `sizes` stops at
-    cap/d vertices, the largest face an h with |h| <= cap can have.  At the
-    default budget the largest table that a scan builds is about 17 MB
-    (n=2, d=21, s_max=1).  Nothing loops over the subsets:
-    `vertices[v]` repeats a byte pattern, and the rest is grown one vertex
-    at a time, the subsets of 0..k being those of 0..k-1 and their shifts
-    by 2^k, which gain vertex k, its size and its generator.
+    caller passes as `cap` the largest coordinate it can ask about: a scan
+    s_max*d, and a non-CM witness its own total.  The rows of coordinate j
+    stop sooner where the sum of all gens[k][j] is smaller (their last row
+    is then every subset), and `sizes` stops at cap/d vertices, the largest
+    face an h with |h| <= cap can have.  At the default budget the largest
+    table that a scan builds is about 17 MB (n=2, d=21, s_max=1).  Nothing
+    loops over the subsets: each bitset is grown one vertex at a time, the
+    subsets of 0..k being those of 0..k-1 and their shifts by 2^k, which
+    gain vertex k (so `vertices[k]` is the shifted half alone), its size
+    and its generator.
     """
-    nbits = 1 << len(gens)
-    every = (1 << nbits) - 1
-    vertices = []
-    for v in range(len(gens)):
-        if v < 3:
-            pattern = bytes([(0xAA, 0xCC, 0xF0)[v]]) * -(-nbits // 8)
-        else:
-            block = 1 << (v - 3)
-            pattern = (b"\0" * block + b"\xff" * block) * (nbits >> (v + 1))
-        vertices.append(int.from_bytes(pattern, "little") & every)
     sizes = [1] + [0] * min(len(gens), cap // sum(gens[0]))
     rows = [[1] + [0] * min(cap, sum(g[j] for g in gens)) for j in range(len(gens[0]))]
+    vertices = []
     for k, g in enumerate(gens):
         shift = 1 << k
+        for j in range(k):
+            vertices[j] |= vertices[j] << shift
+        vertices.append(((1 << shift) - 1) << shift)
         for f in range(min(k + 1, len(sizes) - 1), 0, -1):
             sizes[f] |= sizes[f - 1] << shift
         for row, c in zip(rows, g):

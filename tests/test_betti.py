@@ -1,5 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pinched_veronese
 from pinched_veronese import (
     GF2,
     Multidegree,
@@ -109,8 +114,8 @@ def in_process_pools(monkeypatch):
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
         def shutdown(self):
             pass
@@ -162,6 +167,21 @@ def test_resource_refusal():
     assert err.value.estimate > err.value.budget
     with pytest.raises(ResourceLimitExceeded):
         multigraded_betti(cfg(2, 8, (4, 4)), i=2, t=3, budget=1000)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_degree_zero_needs_no_bitset_table():
+    # h = 0 has the complex {empty face}; a bitset table over the 26
+    # generators of n=2 d=26 has 26 vertex masks of 2^26 bits, past 64 MiB
+    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+            "resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20)); "
+            "from pinched_veronese import PinchConfig, multigraded_betti; "
+            "print(multigraded_betti(PinchConfig.from_pinch_index(26, 13), i=0, t=0))")
+    src = str(Path(pinched_veronese.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "{(0, 0): 1}"
 
 
 def test_k_polynomial_consistency_invariant():
@@ -255,7 +275,7 @@ def test_witness_interior_two_vars():
     assert w.h == (21, 21)
     assert w.index == 5  # N - 2
     assert w.dimension == 1
-    # the witness builds the whole complex and reads its degree N-3
+    # the settled witness against the elimination of its whole complex
     config = cfg(2, 5, (2, 3))
     w = witness_non_cm(config)
     assert w.dimension == 1
@@ -269,6 +289,26 @@ def test_witness_max_d_minus_1_three_vars():
     assert w.index == config.N - 3  # N - n
     assert w.h.total == (config.N - 3 + 2) * config.d
     assert w.dimension >= 1
+
+
+def test_witness_is_settled_without_building_its_complex(monkeypatch):
+    from pinched_veronese import betti
+
+    def refuse(*args):
+        raise AssertionError("the witness complex was built")
+
+    monkeypatch.setattr(betti, "build_divisor_complex", refuse)
+    interior = {5: (15, 15), 6: (21, 21), 7: (28, 28)}
+    for d, h in interior.items():
+        for i in range(2, d - 1):
+            assert witness_non_cm(cfg(2, d, (i, d - i))) == (h, d - 1, 1), (d, i)
+    for n, d, m, h, index in [
+        (3, 3, (2, 1, 0), (7, 10, 10), 7), (3, 3, (1, 1, 1), (10, 10, 10), 8),
+        (3, 4, (3, 1, 0), (16, 20, 20), 12), (3, 4, (2, 2, 0), (20, 20, 20), 13),
+        (3, 4, (2, 1, 1), (20, 20, 20), 13),
+        (4, 3, (2, 1, 0, 0), (12, 15, 15, 12), 16), (4, 3, (1, 1, 1, 0), (15, 15, 15, 15), 18),
+    ]:
+        assert witness_non_cm(cfg(n, d, m)) == (h, index, 1), m
 
 
 @pytest.mark.parametrize("n, d, m", [(2, 5, (2, 3)), (3, 3, (2, 1, 0)), (3, 3, (1, 1, 1))])

@@ -139,7 +139,7 @@ def test_scan_enumerates_exactly_the_uncertified_elements(monkeypatch, n, d, s_m
     # every pinch vector, permuted ones too; s <= N+2 unless given.  The
     # scan enumerates only the box that the one-condition apexes leave, and
     # must still meet the elements outside the certificate, in scan order
-    monkeypatch.setattr(betti, "_profile_worker", lambda args: HomologyProfile())
+    monkeypatch.setattr(betti, "_element_profile", lambda *args: HomologyProfile())
     for m in pinches(n, d):
         config = cfg(n, d, m)
         top = config.N + 2 if s_max is None else s_max

@@ -239,7 +239,8 @@ def test_pair_profiles_match_per_level_ranks_n3(m, count):
     (3, 4, (3, 1, 0)), (3, 4, (2, 2, 0)), (3, 4, (2, 1, 1)),
 ])
 def test_witness_complex_has_homology_in_one_degree(n, d, m):
-    # the witness reads one degree of its whole complex; no other degree is nonzero
+    # the settled witness against the elimination of its whole complex: the
+    # one degree it reads is the only nonzero one
     config = PinchConfig(n, d, Multidegree(m))
     w = witness_non_cm(config)
     assert w.dimension > 0
