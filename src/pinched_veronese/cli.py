@@ -85,6 +85,11 @@ def _cache_for(args, config, field):
     directory = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
         return None
+    path = os.path.abspath(directory)
+    while not os.path.exists(path):  # a save makes it; no file may be in the way
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"cache directory {directory!r}: {path!r} is not a directory")
     return HomologyCache(directory, config, field)
 
 

@@ -12,12 +12,12 @@ The split of a complex at one vertex v is stated once, in
 `link` is the complex without them, `is_cone` asks whether an apex has
 none, and `homology` reduces them.
 
-The subsets of a generator set are tabled once, size by size and only up
-to the largest size asked for, in one bounded memo, `_sum_classes`: the
-masks in that order, which subsets have the same generator sum, and per
-coordinate bitmasks of those classes.  A divisor complex picks, level by
-level, the sum classes v with h - v in H by ANDing bitmasks and clearing
-the classes of the holes (`semigroup._holes`), and keeps their subsets.
+The face rule is stated once and read on two tables of the generator
+subsets: F is a face when sum(F) <= h, an AND of one row per coordinate,
+and h - sum(F) is no hole of its degree (`semigroup._holes`), the members
+`_hole_members` clears.  A bounded memo, `_level(gens, f)`, holds the sum
+classes of the f-subsets, grown from the size below, and `_divisor_levels`
+keeps the subsets of the classes left, size by size up to |h|/d.
 
 A Betti scan first reads each divisor complex as one bitset over all 2^V
 subset masks (`divisor_bits`), on a second bounded memo, `_subset_bits`,
@@ -142,27 +142,20 @@ class SimplicialComplex:
 class _Level(NamedTuple):
     """The sum classes of the f-subsets of the vertices 0..k-1: their
     `masks` in lexicographic order of the sorted vertex tuples, each one's
-    class id, the id of each distinct sum (in id order), and
-    `at_most[j][x]`, the bitmask of the ids whose sum v has v_j <= x (x up
-    to the largest v_j)."""
+    class id, the distinct `sums` in id order, and `at_most[j][x]`, the
+    bitmask of the ids whose sum v has v_j <= x (x up to the largest v_j)."""
 
     masks: tuple[int, ...]
     ids: tuple[int, ...]
-    index: dict[tuple[int, ...], int]
+    sums: tuple[tuple[int, ...], ...]
     at_most: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=16)
-def _sum_classes(gens: tuple[tuple[int, ...], ...]) -> list[_Level]:
-    """The `_Level` of each subset size of the vertices 0..len(gens)-1, vertex
-    j having generator gens[j], from 0 up to the largest size asked for
-    through `_level` (bounded memo, filled on demand)."""
-    zero = (0,) * len(gens[0])
-    return [_Level((0,), (0,), {zero: 0}, ((1,),) * len(zero))]
-
-
-def _level(tables: list[_Level], gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
-    """tables[f], after growing the `_sum_classes` list `tables` up to f.
+@lru_cache(maxsize=64)
+def _level(gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
+    """The `_Level` of the f-subsets of the vertices 0..len(gens)-1, vertex
+    j having generator gens[j] (bounded memo, one entry per size: 64 holds
+    every size of the two largest generator sets, V <= 27).
 
     In lexicographic order, the f-subsets of 0..k-1 are the (f-1)-subsets
     in their order, each extended in turn by every vertex j above its
@@ -170,25 +163,25 @@ def _level(tables: list[_Level], gens: tuple[tuple[int, ...], ...], f: int) -> _
     in order, each mask being its parent's with bit j set and each sum its
     parent's plus gens[j].
     """
-    while len(tables) <= f:
-        prev = tables[-1]
-        prev_sums = tuple(prev.index)
-        index: dict[tuple[int, ...], int] = {}
-        masks = []
-        ids = []
-        for pm, pid in zip(prev.masks, prev.ids):
-            s = prev_sums[pid]
-            for j in range(pm.bit_length(), len(gens)):
-                masks.append(pm | 1 << j)
-                ids.append(index.setdefault(tuple(map(add, s, gens[j])), len(index)))
-        at_most = []
-        for j in range(len(gens[0])):
-            by_value = [0] * (max(v[j] for v in index) + 1)
-            for i, v in enumerate(index):
-                by_value[v[j]] |= 1 << i
-            at_most.append(tuple(accumulate(by_value, or_)))
-        tables.append(_Level(tuple(masks), tuple(ids), index, tuple(at_most)))
-    return tables[f]
+    if not f:
+        zero = (0,) * len(gens[0])
+        return _Level((0,), (0,), (zero,), ((1,),) * len(zero))
+    prev = _level(gens, f - 1)
+    index: dict[tuple[int, ...], int] = {}
+    masks = []
+    ids = []
+    for pm, pid in zip(prev.masks, prev.ids):
+        s = prev.sums[pid]
+        for j in range(pm.bit_length(), len(gens)):
+            masks.append(pm | 1 << j)
+            ids.append(index.setdefault(tuple(map(add, s, gens[j])), len(index)))
+    at_most = []
+    for j in range(len(gens[0])):
+        by_value = [0] * (max(v[j] for v in index) + 1)
+        for i, v in enumerate(index):
+            by_value[v[j]] |= 1 << i
+        at_most.append(tuple(accumulate(by_value, or_)))
+    return _Level(tuple(masks), tuple(ids), tuple(index), tuple(at_most))
 
 
 class _SubsetBits(NamedTuple):
@@ -238,34 +231,41 @@ def _subset_bits(gens: tuple[tuple[int, ...], ...], cap: int) -> _SubsetBits:
     return _SubsetBits(tuple(vertices), tuple(sizes), tuple(map(tuple, rows)))
 
 
+def _hole_members(h, total: int, missing: _HoleSet, at_most) -> int:
+    """The bitmask of the table members whose sum v makes h - v a hole, the
+    holes of this total being `missing` and `at_most[j][x]` the members
+    with v_j <= x (a row past the last is the last).  A half-space r_p >= low
+    is the row of v_p <= h_p - low, and each other hole r the v = h - r, the
+    AND over j of row v_j without the row below it."""
+    holes = 0
+    if missing.half and h[missing.half[0]] >= missing.half[1]:
+        p, low = missing.half
+        holes = at_most[p][min(h[p] - low, len(at_most[p]) - 1)]
+    for r in missing.listed(h, total):
+        v = tuple(map(sub, h, r))
+        if all(0 <= x < len(row) for x, row in zip(v, at_most)):
+            holes |= reduce(and_, (row[x] ^ row[x - 1] if x else row[0]
+                                   for x, row in zip(v, at_most)))
+    return holes
+
+
 def divisor_bits(h, config: PinchConfig, cap: int) -> tuple[int, _SubsetBits]:
     """The divisor complex of h in H as a bitset, with the `_subset_bits`
     table of cap >= |h| it is read on: bit F is set when h - sum(F) is in H.
 
-    As in `_divisor_levels`, the F with sum(F) <= h are the AND of one
-    `at_most` row per coordinate, and at each size f the holes of total
-    |h| - f*d are cleared: a half-space r_p >= low takes the f-subsets with
-    sum(F)_p <= h_p - low, and each other hole r the class sum(F) = h - r,
-    the AND over j of at_most[j][x] without at_most[j][x-1].  A bit is
-    cleared as a ^= a & b: the complement of a wide int costs far more.
+    It is the face rule of `_divisor_levels` read on the subsets: the AND
+    of one `at_most` row per coordinate, less the F of the holes at each
+    size f (`_hole_members`), cleared as a ^= a & b where there are any,
+    since the complement of a wide int costs far more.
     """
     bits = _subset_bits(generate_generators(config), cap)
     at_most = bits.at_most
     faces = reduce(and_, (row[min(x, len(row) - 1)] for x, row in zip(h, at_most)))
     d, total = config.d, sum(h)
-    for f in range(1, min(total // d, len(bits.sizes) - 1) + 1):
-        missing = _holes(config, total // d - f)
-        if missing.half:
-            p, low = missing.half
-            if h[p] >= low:
-                row = at_most[p]
-                faces ^= faces & bits.sizes[f] & row[min(h[p] - low, len(row) - 1)]
-        for r in missing.listed(h, total - f * d):
-            v = tuple(map(sub, h, r))
-            # no subset's sum reaches past a shortened row
-            if all(0 <= x < len(row) for x, row in zip(v, at_most)):
-                faces ^= faces & reduce(and_, (row[x] ^ row[x - 1] if x else row[0]
-                                               for x, row in zip(v, at_most)))
+    # at f = |h|/d the remainder is 0, never a hole
+    for f in range(1, min(total // d - 1, len(bits.sizes) - 1) + 1):
+        if holes := _hole_members(h, total - f * d, _holes(config, total // d - f), at_most):
+            faces ^= faces & bits.sizes[f] & holes
     return faces, bits
 
 
@@ -285,32 +285,23 @@ def _divisor_levels(
     `holes(t)` gives the vectors of total t*d missing from H, as
     `semigroup._holes` does.  Every remainder has a total that is a
     multiple of d, so it is in H exactly when it is non-negative and not a
-    hole.  Per level, the sum classes v with v <= h are the AND of one
-    `at_most` mask per coordinate; a half-space of holes r_p >= low clears
-    the mask of v_p <= h_p - low, and each other hole r <= h the class
-    h - r, where there is one.  The subsets of the classes left form the
-    level, and the first empty level ends the (downward closed) complex.
+    hole.  Per size f, the classes v <= h of `_level(gens, f)` are the AND
+    of one `at_most` row per coordinate, less those of the holes
+    (`_hole_members`); their subsets form the level, and the first empty
+    level ends the (downward closed) complex.
     """
-    tables = _sum_classes(gens)
     d, total = sum(gens[0]), sum(h)
     levels = [(0,)]
     for f in range(1, min(total // d, len(gens)) + 1):
-        masks, ids, index, at_most = tables[f] if f < len(tables) else _level(tables, gens, f)
-        ok = (1 << len(index)) - 1
+        masks, ids, sums, at_most = _level(gens, f)
+        ok = (1 << len(sums)) - 1
         for x, row in zip(h, at_most):
             if x < len(row):
                 ok &= row[x]
-        missing = holes(total // d - f)
-        if missing.half and h[missing.half[0]] >= missing.half[1]:
-            x, row = h[missing.half[0]] - missing.half[1], at_most[missing.half[0]]
-            ok &= ~row[min(x, len(row) - 1)]
-        for r in missing.listed(h, total - f * d):
-            cid = index.get(tuple(map(sub, h, r)))
-            if cid is not None:
-                ok &= ~(1 << cid)
+        ok ^= ok & _hole_members(h, total - f * d, holes(total // d - f), at_most)
         if not ok:
             break
-        flags = bin(ok)[:1:-1].encode().translate(_BITS).ljust(len(index), b"\0")
+        flags = bin(ok)[:1:-1].encode().translate(_BITS).ljust(len(sums), b"\0")
         levels.append(tuple(compress(masks, map(flags.__getitem__, ids))))
     return tuple(levels)
 

@@ -176,13 +176,14 @@ def settled_profile(faces: int, vertices: Sequence[int],
 
     The complex is a bitset, as `complexes.divisor_bits` gives it: bit F
     is set for each face F, `vertices[v]` holds the F with v, and
-    `sizes[f]` the F with f vertices, for every size of a face.  The cells
-    of a vertex v are the faces F without v whose F + v is no face,
-    `faces & ~M_v & ~((faces & M_v) >> 2^v)`, since that shift takes F + v
-    to F.  There are |faces| - 2 * #{faces with v} of them, so the first
-    vertex is one in the most faces, the smallest on ties.  Then each vertex w
-    in turn pairs each cell F without w with F + w, when F + w is a cell
-    too, and the cells left are the critical ones.
+    `sizes[f]` the F with f vertices, for every size of a face.  Starting
+    from every face as a cell, one vertex w at a time pairs each cell F
+    without w with F + w when F + w is a cell too (a shift by 2^w takes
+    F + w to F); the cells left are the critical ones.  The first pass, by
+    a vertex v in the most faces (the smallest on ties), leaves the cells
+    of its excision pair: the faces F without v whose F + v is no face,
+    |faces| - 2 * #{faces with v} of them.  Then every vertex takes a pass
+    in order, v pairing nothing a second time.
 
     Why the profile is exact.  Pairing F with F + v whenever both are faces
     is an element matching on the augmented face poset, and the faces it
@@ -200,13 +201,11 @@ def settled_profile(faces: int, vertices: Sequence[int],
     a cone has no cells at all.
     """
     first = max(range(len(vertices)), key=lambda v: (faces & vertices[v]).bit_count())
+    critical = faces
     # no complement of a wide int is taken: a & ~b is written a ^ (a & b)
-    with_first = faces & vertices[first]
-    critical = faces ^ with_first
-    critical ^= critical & (with_first >> (1 << first))
-    for w, m in enumerate(vertices):
-        # no cell has the first vertex, so it pairs none of them
-        if with_w := critical & m:
+    for w in (first, *range(len(vertices))):
+        # after its first pass no cell has the first vertex, so it pairs none
+        if with_w := critical & vertices[w]:
             low = (critical ^ with_w) & (with_w >> (1 << w))
             critical ^= low | low << (1 << w)
     if not critical:

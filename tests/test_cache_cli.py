@@ -15,7 +15,7 @@ from pinched_veronese import (
     reduced_homology,
 )
 from pinched_veronese.cache import ENGINE
-from pinched_veronese.cli import MAX_EXPAND, main
+from pinched_veronese.cli import CACHE_ENV_VAR, MAX_EXPAND, main
 
 
 def cfg(n, d, m):
@@ -454,6 +454,26 @@ def test_cli_large_prime_fields(capsys):
     assert code == 0 and json.loads(out)["table"]["field"] == f"GF({2**61 - 1})"
     assert main(["betti", "-d", "3", "--pinch", "1", "--field", str(2**89 - 1)]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["betti", "verify"])
+@pytest.mark.parametrize("where", ["flag", "env", "under"])
+def test_cli_cache_dir_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      command, where):
+    # a save makes the cache directory; a path that names a file, or lies
+    # under one, is refused before any output, with no traceback
+    path = tmp_path / "profiles"
+    path.write_text("")
+    argv = [command, "-d", "3", "--pinch", "1"]
+    if where == "env":
+        monkeypatch.setenv(CACHE_ENV_VAR, str(path))
+    else:
+        argv += ["--cache-dir", str(path / "sub" if where == "under" else path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert path.read_text() == ""
 
 
 def test_cli_cache_round_trip_bytes(tmp_path, capsys):

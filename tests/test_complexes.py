@@ -108,8 +108,10 @@ def test_face_membership_matches_definition():
 ])
 def test_faces_match_bruteforce_membership(n, d, m, t_max):
     # every h of degree t*d, members or not, against {F : h - sum(F) in H}
-    # decided by the dynamic-programming oracle
+    # decided by the dynamic-programming oracle; a member's complex is read
+    # both as levels and as the scan's bitset over all subset masks
     from pinched_veronese import is_member_bruteforce
+    from pinched_veronese.complexes import divisor_bits
     from pinched_veronese.semigroup import _compositions_desc
 
     config = cfg(n, d, m)
@@ -125,6 +127,9 @@ def test_faces_match_bruteforce_membership(n, d, m, t_max):
             c = build_divisor_complex(h, config)
             assert c.faces == expected, (config, h)
             assert c.is_void == (not expected)
+            if expected:
+                faces, _ = divisor_bits(h, config, t_max * d)
+                assert faces == sum(1 << sum(1 << v for v in f) for f in expected), (config, h)
 
 
 # -- alexander dual ----------------------------------------------------------
@@ -275,7 +280,7 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
 # -- the shared subset tables -------------------------------------------------
 
 
-MEMOS = (complexes._sum_classes, complexes._subset_bits, semigroup._holes)
+MEMOS = (complexes._level, complexes._subset_bits, semigroup._holes)
 
 
 def clear_memos():
@@ -284,21 +289,18 @@ def clear_memos():
 
 
 def test_tables_hold_no_subset_size_above_the_degree():
-    # every memo entry is one list of per-size sum classes, or the holes of
-    # one degree
+    # every memo entry is the sum classes of one subset size, or the holes
+    # of one degree
     from pinched_veronese import reduced_homology
 
     clear_memos()
     config = cfg(2, 8, (3, 5))
-    gens = generate_generators(config)
     for s in (1, 3, 5):
         for h in enumerate_degree(config, s):
             reduced_homology(build_divisor_complex(h, config))
         for memo in MEMOS:
             assert memo.cache_info().currsize <= s + 1, (memo, s)
-        assert complexes._sum_classes.cache_info().currsize == 1
-        assert len(complexes._sum_classes(gens)) <= s + 1, s
-    assert len(complexes._sum_classes(gens)) == 6  # sizes 0..5 were asked for
+    assert complexes._level.cache_info().currsize == 6  # sizes 0..5 were asked for
     # a degree-5 element and its remainders have degrees 0, 1, ..., 5
     assert semigroup._holes.cache_info().currsize == 6
 
@@ -331,20 +333,17 @@ def test_scan_builds_bitset_tables_on_demand_with_capped_rows():
 def test_sum_class_levels_follow_the_subsets_in_lexicographic_order(config):
     # each level is grown from the one below; its masks must come in
     # combinations order and each class must hold the sum of its subset
-    from pinched_veronese.complexes import _level, _sum_classes
+    from pinched_veronese.complexes import _level
 
     gens = generate_generators(config)
-    tables = _sum_classes(gens)
-    _level(tables, gens, 6)
     for f in range(7):
-        level = tables[f]
+        level = _level(gens, f)
         subsets = list(itertools.combinations(range(len(gens)), f))
         assert level.masks == tuple(sum(1 << v for v in sub) for sub in subsets), f
         assert len(level.ids) == len(subsets), f
-        sums = tuple(level.index)
         for p, sub in enumerate(subsets):
             want = tuple(sum(gens[v][j] for v in sub) for j in range(config.n))
-            assert sums[level.ids[p]] == want, (f, sub)
+            assert level.sums[level.ids[p]] == want, (f, sub)
 
 
 def test_holes_are_stated_by_pinch_class():
