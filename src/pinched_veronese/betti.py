@@ -38,8 +38,9 @@ class BettiTable:
     so shape claims (zero regions) are decidable from the table alone.
     `certified_cones` counts the elements h whose divisor complex the cone
     certificate settled without building it: the Hilbert function summed over
-    the scanned degrees, less the elements scanned.  It is not part of the
-    JSON form.
+    the scanned degrees, less the `scanned` count of each degree's column
+    (computed, or read from the column cache).  It is not part of the JSON
+    form.
     """
 
     def __init__(self, config: PinchConfig, field: FieldSpec, i_max: int, s_max: int,
@@ -243,24 +244,18 @@ def _worker_pool(jobs: int):
     return _pool[1]
 
 
-def _profiles_for_degrees(
-    config: PinchConfig,
-    field: FieldSpec,
-    degrees: list[int],
-    cache=None,
-    jobs: int = 1,
-):
+def _profiles_for_degrees(config: PinchConfig, field: FieldSpec, degrees: list[int],
+                          jobs: int = 1):
     """Yield (s, h, profile) for the h that the cone certificate of
     `_apex_bounds` leaves, deterministically (s ascending, h descending lex).
 
     A certified h has a cone for its divisor complex, so zero reduced
-    homology; it is never built, looked up in or written to the cache, or
-    sent to the worker pool.  An apex with one condition h_q >= b certifies
-    every h outside the box h_q < b, so only the box is enumerated, and
-    what the two-condition apexes certify in it is dropped.  The rest are
-    read from the cache or computed by `_element_profile`, with jobs capped
-    at the CPU count; more than one job runs on `_worker_pool`.  It first
-    settles h on the bitset of its divisor complex
+    homology; it is never built or sent to the worker pool.  An apex with
+    one condition h_q >= b certifies every h outside the box h_q < b, so
+    only the box is enumerated, and what the two-condition apexes certify
+    in it is dropped.  The rest are computed by `_element_profile`, with
+    jobs capped at the CPU count; more than one job runs on `_worker_pool`.
+    It first settles h on the bitset of its divisor complex
     (`complexes.divisor_bits`, read on a table of rows up to
     max(degrees)*d that the first such h builds), by an element matching
     (`homology.settled_profile`); only the h it leaves are built and
@@ -277,29 +272,17 @@ def _profiles_for_degrees(
         pairs = [p for p in bounds if len(p) > 1]
         work.extend((s, h) for h in enumerate_degree(config, s, below)
                     if not _certified(pairs, h))
-    profiles: dict[Multidegree, HomologyProfile] = {}
-    missing: list[Multidegree] = []
-    for _, h in work:
-        hit = cache.get(h) if cache is not None else None
-        if hit is not None:
-            profiles[h] = hit
-        else:
-            missing.append(h)
+    hs = [h for _, h in work]
     jobs = min(jobs, os.cpu_count() or 1)
-    # map stops at `missing`, the one finite iterable
+    # map stops at `hs`, the one finite iterable
     fixed = repeat(config), repeat(field), repeat(max(degrees) * config.d)
-    if jobs > 1 and len(missing) > 1:
-        results = list(_worker_pool(jobs).map(
-            _element_profile, missing, *fixed, chunksize=max(1, len(missing) // (4 * jobs))))
+    if jobs > 1 and len(hs) > 1:
+        results = _worker_pool(jobs).map(
+            _element_profile, hs, *fixed, chunksize=max(1, len(hs) // (4 * jobs)))
     else:
-        results = map(_element_profile, missing, *fixed)
-    profiles.update(zip(missing, results))
-    if cache is not None:
-        for h in missing:
-            cache.put(h, profiles[h])
-        cache.save()
-    for s, h in work:
-        yield s, h, profiles[h]
+        results = map(_element_profile, hs, *fixed)
+    for (s, h), profile in zip(work, results):
+        yield s, h, profile
 
 
 def graded_betti(
@@ -318,6 +301,8 @@ def graded_betti(
     for n = 2, s_max = i_max + 3 so the regularity-2 support fits with an
     all-zero guard column.  For n >= 3 no regularity bound is cited, so s_max
     must be supplied; the scanned range is recorded on the table either way.
+    The table is read off one column per degree s (`cache.Column`): a
+    `cache` serves those it holds, and only the other degrees are scanned.
     """
     if i_max is None:
         i_max = config.N - 2
@@ -334,17 +319,21 @@ def graded_betti(
     cost = estimate_cost(config, s_max)
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
-    entries = {(i, s): 0 for i in range(i_max + 1) for s in range(s_max + 1)}
-    scanned = 0
-    for s, _h, profile in _profiles_for_degrees(
-        config, field, list(range(s_max + 1)), cache=cache, jobs=jobs
-    ):
-        scanned += 1
-        for k, v in profile.items():
-            i = k + 1
-            if 0 <= i <= i_max:
-                entries[(i, s)] += v
-    certified = sum(hilbert_function(config, s) for s in range(s_max + 1)) - scanned
+    degrees = range(s_max + 1)
+    columns = {s: cache.get(s) for s in degrees} if cache is not None else {}
+    if missing := [s for s in degrees if columns.get(s) is None]:
+        columns.update((s, (0, {})) for s in missing)
+        for s, _h, profile in _profiles_for_degrees(config, field, missing, jobs=jobs):
+            scanned, sums = columns[s]
+            for k, v in profile.items():
+                sums[k + 1] = sums.get(k + 1, 0) + v
+            columns[s] = scanned + 1, sums
+        if cache is not None:
+            for s in missing:
+                cache.put(s, columns[s])
+            cache.save()
+    entries = {(i, s): columns[s][1].get(i, 0) for i in range(i_max + 1) for s in degrees}
+    certified = sum(hilbert_function(config, s) - columns[s][0] for s in degrees)
     return BettiTable(config=config, field=field, i_max=i_max, s_max=s_max, entries=entries,
                       certified_cones=certified)
 
@@ -355,7 +344,6 @@ def multigraded_betti(
     i: int = 0,
     t: int = 0,
     *,
-    cache=None,
     budget: int = DEFAULT_COMPLEX_BUDGET,
 ) -> dict[Multidegree, int]:
     """Per-h contributions to the (i, t) table entry (only nonzero values kept)."""
@@ -365,7 +353,7 @@ def multigraded_betti(
     if cost > budget:
         raise ResourceLimitExceeded(cost, budget)
     out: dict[Multidegree, int] = {}
-    for _s, h, profile in _profiles_for_degrees(config, field, [t], cache=cache):
+    for _s, h, profile in _profiles_for_degrees(config, field, [t]):
         v = profile[i - 1]
         if v:
             out[h] = v

@@ -1,13 +1,15 @@
-"""Disk cache of homology profiles, one JSON file per configuration and field.
+"""Disk cache of Betti columns, one JSON file per configuration and field.
 
-Keys are normalized: the pinch vector is sorted descending and every h is
-mapped through the same coordinate permutation, so permuted configurations
-share cache entries.  Writes are atomic (write-temp-then-rename).  A save
-holds a lock on the directory (POSIX) and merges in the entries that other
-writers saved to the same file since it was loaded, so runs sharing a
-directory keep each other's work.  Anything unreadable or malformed is
-silently discarded and recomputed, and so is a file written by another
-homology engine (its `engine` field differs).
+The column of coarse degree s is what a scan adds up there: `scanned`, the
+number of elements h that the cone certificate leaves, and for every i (not
+cut at any window) the sum over them of dim H~_{i-1} of the divisor complex
+of h.  Permuting coordinates changes no column, so columns are keyed by s
+and permuted configurations share the file of their sorted pinch vector.
+Writes are atomic (write-temp-then-rename).  A save holds a lock on the
+directory (POSIX) and merges in the columns that other writers saved to the
+file since it was loaded, so runs sharing a directory keep each other's
+work.  Anything unreadable or malformed is silently discarded and
+recomputed, and so is a file of another engine (its `engine` field differs).
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ import json
 import os
 from typing import Optional
 
-from .homology import HomologyProfile
 from .linalg import FieldSpec
-from .semigroup import Multidegree, PinchConfig
+from .semigroup import PinchConfig
 
 try:
     import fcntl
@@ -27,15 +28,27 @@ except ImportError:  # not POSIX: saves still merge, but two at once can race
     fcntl = None
 
 SCHEMA_VERSION = "pinched-veronese/1"
-# names the code that computed the profiles; change it whenever that code
-# changes in a way that could change a stored result.  Skipping certified
-# cones changed none: a skipped h is neither read nor written, and an older
-# file's entry for it is the same empty profile, never consulted
-ENGINE = "bitmask-sparse/1"
+# names the code that computed the columns; change it whenever that code
+# changes in a way that could change a stored column.  A change to the cone
+# certificate does: it changes how many elements each `scanned` counts
+ENGINE = "bitmask-sparse-columns/1"
+
+# one coarse degree's (scanned, {i: sum of dim H~_{i-1}}), zero sums left out
+Column = tuple[int, dict[int, int]]
 
 
 def _field_tag(field: FieldSpec) -> str:
     return "qq" if field.is_rationals else f"gf{field.p}"
+
+
+def _column(raw) -> Column:
+    """The column stored as {"scanned": n, "betti": {i: sum}}; an error
+    (ValueError, or one of the wrong type or key) if it is malformed."""
+    scanned, betti = raw["scanned"], {int(i): v for i, v in raw["betti"].items()}
+    if type(scanned) is not int or scanned < 0 or any(
+            i < 0 or type(v) is not int or v < 1 for i, v in betti.items()):
+        raise ValueError(f"malformed column {raw!r}")
+    return scanned, betti
 
 
 @contextlib.contextmanager
@@ -58,21 +71,16 @@ class HomologyCache:
         from pathlib import Path  # as tempfile in save: runs with no cache skip both
         self.config = config
         self.field = field
-        norm_m, perm = config.normalization()
-        self._perm = perm
-        m_tag = "-".join(str(c) for c in norm_m)
+        m_tag = "-".join(str(c) for c in config.normalization()[0])
         self.path = (
             Path(directory)
             / f"profiles-n{config.n}-d{config.d}-m{m_tag}-{_field_tag(field)}.json"
         )
-        self._profiles = self._load()
+        self._columns = self._load()
         self._dirty = False
 
-    def _key(self, h: Multidegree) -> str:
-        return ",".join(str(h[p]) for p in self._perm)
-
-    def _load(self) -> dict[str, HomologyProfile]:
-        """The file's valid entries; none if it is unreadable, untagged or
+    def _load(self) -> dict[int, Column]:
+        """The file's valid columns; none if it is unreadable, untagged or
         written by another schema or engine."""
         try:
             raw = json.loads(self.path.read_text())
@@ -81,38 +89,37 @@ class HomologyCache:
         if (not isinstance(raw, dict) or raw.get("schema") != SCHEMA_VERSION
                 or raw.get("engine") != ENGINE):
             return {}
-        profiles = raw.get("profiles")
-        if not isinstance(profiles, dict):
+        columns = raw.get("columns")
+        if not isinstance(columns, dict):
             return {}
         out = {}
-        for key, pairs in profiles.items():
+        for s, column in columns.items():
             try:
-                out[key] = HomologyProfile.from_pairs(pairs)
-            except (TypeError, ValueError):
+                out[int(s)] = _column(column)
+            except (AttributeError, KeyError, TypeError, ValueError):
                 continue  # corrupt entry: recompute rather than trust it
         return out
 
-    def get(self, h: Multidegree) -> Optional[HomologyProfile]:
-        return self._profiles.get(self._key(h))
+    def get(self, s: int) -> Optional[Column]:
+        return self._columns.get(s)
 
-    def put(self, h: Multidegree, profile: HomologyProfile) -> None:
-        key = self._key(h)
-        if self._profiles.get(key) != profile:
-            self._profiles[key] = profile
+    def put(self, s: int, column: Column) -> None:
+        if self._columns.get(s) != column:
+            self._columns[s] = column
             self._dirty = True
 
     def __len__(self) -> int:
-        return len(self._profiles)
+        return len(self._columns)
 
     def save(self) -> None:
-        """Write the profiles atomically, merged with the entries other
-        writers saved to the file since it was loaded; this instance's win."""
+        """Write the columns atomically, merged with the ones other writers
+        saved to the file since it was loaded; this instance's win."""
         if not self._dirty:
             return
         import tempfile
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with _locked(self.path.parent):
-            self._profiles = {**self._load(), **self._profiles}
+            self._columns = {**self._load(), **self._columns}
             payload = {
                 "schema": SCHEMA_VERSION,
                 "engine": ENGINE,
@@ -120,7 +127,10 @@ class HomologyCache:
                 "d": self.config.d,
                 "m_normalized": list(self.config.normalization()[0]),
                 "field": self.field.label,
-                "profiles": {k: self._profiles[k].to_pairs() for k in sorted(self._profiles)},
+                # string keys, so that the file sorts them as a reload does
+                "columns": {str(s): {"scanned": scanned,
+                                     "betti": {str(i): v for i, v in betti.items()}}
+                            for s, (scanned, betti) in self._columns.items()},
             }
             fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
             try:

@@ -15,9 +15,10 @@ none, and `homology` reduces them.
 The face rule is stated once and read on two tables of the generator
 subsets: F is a face when sum(F) <= h, an AND of one row per coordinate,
 and h - sum(F) is no hole of its degree (`semigroup._holes`), the members
-`_hole_members` clears.  A bounded memo, `_level(gens, f)`, holds the sum
-classes of the f-subsets, grown from the size below, and `_divisor_levels`
-keeps the subsets of the classes left, size by size up to |h|/d.
+`_hole_members` clears.  A bounded memo, `_levels(gens)`, holds the sum
+classes of the subsets of each size f, each grown from the size below, and
+`_divisor_levels` keeps the subsets of the classes left, size by size up to
+|h|/d.
 
 A Betti scan first reads each divisor complex as one bitset over all 2^V
 subset masks (`divisor_bits`), on a second bounded memo, `_subset_bits`,
@@ -151,11 +152,19 @@ class _Level(NamedTuple):
     at_most: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=64)
-def _level(gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
-    """The `_Level` of the f-subsets of the vertices 0..len(gens)-1, vertex
-    j having generator gens[j] (bounded memo, one entry per size: 64 holds
-    every size of the two largest generator sets, V <= 27).
+@lru_cache(maxsize=2)
+def _levels(gens: tuple[tuple[int, ...], ...]) -> list[_Level]:
+    """The `_Level`s of the vertices 0..len(gens)-1 by size f, vertex j
+    having generator gens[j]: a list that `_divisor_levels` grows with
+    `_next_level` as far as it asks, so that a build looks the generator
+    set up once (bounded memo: the two latest generator sets, each up to
+    the largest size asked)."""
+    zero = (0,) * len(gens[0])
+    return [_Level((0,), (0,), (zero,), ((1,),) * len(zero))]
+
+
+def _next_level(gens: tuple[tuple[int, ...], ...], prev: _Level) -> _Level:
+    """The `_Level` of the f-subsets, from `prev`, that of the (f-1)-subsets.
 
     In lexicographic order, the f-subsets of 0..k-1 are the (f-1)-subsets
     in their order, each extended in turn by every vertex j above its
@@ -163,10 +172,6 @@ def _level(gens: tuple[tuple[int, ...], ...], f: int) -> _Level:
     in order, each mask being its parent's with bit j set and each sum its
     parent's plus gens[j].
     """
-    if not f:
-        zero = (0,) * len(gens[0])
-        return _Level((0,), (0,), (zero,), ((1,),) * len(zero))
-    prev = _level(gens, f - 1)
     index: dict[tuple[int, ...], int] = {}
     masks = []
     ids = []
@@ -285,15 +290,18 @@ def _divisor_levels(
     `holes(t)` gives the vectors of total t*d missing from H, as
     `semigroup._holes` does.  Every remainder has a total that is a
     multiple of d, so it is in H exactly when it is non-negative and not a
-    hole.  Per size f, the classes v <= h of `_level(gens, f)` are the AND
+    hole.  Per size f, the classes v <= h of `_levels(gens)[f]` are the AND
     of one `at_most` row per coordinate, less those of the holes
     (`_hole_members`); their subsets form the level, and the first empty
     level ends the (downward closed) complex.
     """
     d, total = sum(gens[0]), sum(h)
+    tables = _levels(gens)
     levels = [(0,)]
     for f in range(1, min(total // d, len(gens)) + 1):
-        masks, ids, sums, at_most = _level(gens, f)
+        if f == len(tables):
+            tables.append(_next_level(gens, tables[-1]))
+        masks, ids, sums, at_most = tables[f]
         ok = (1 << len(sums)) - 1
         for x, row in zip(h, at_most):
             if x < len(row):

@@ -61,13 +61,6 @@ class HomologyProfile:
         """Alternating sum of dimensions, including the degree -1 term."""
         return sum(-v if k % 2 else v for k, v in self._dims.items())
 
-    def to_pairs(self) -> list[list[int]]:
-        return [[k, v] for k, v in self.items()]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "HomologyProfile":
-        return cls({int(k): int(v) for k, v in pairs})
-
     def __repr__(self) -> str:
         return f"HomologyProfile({dict(self.items())})"
 

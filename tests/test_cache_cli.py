@@ -6,14 +6,13 @@ import pytest
 from pinched_veronese import (
     DEFAULT_FIELD,
     HomologyCache,
-    HomologyProfile,
     Multidegree,
     PinchConfig,
     SCHEMA_VERSION,
-    build_divisor_complex,
     graded_betti,
-    reduced_homology,
 )
+from pinched_veronese import betti
+from pinched_veronese.betti import _profiles_for_degrees
 from pinched_veronese.cache import ENGINE
 from pinched_veronese.cli import CACHE_ENV_VAR, MAX_EXPAND, main
 
@@ -25,17 +24,37 @@ def cfg(n, d, m):
 # -- cache --------------------------------------------------------------------
 
 
+def column(config, s, field=DEFAULT_FIELD):
+    """The column at coarse degree s added up from the per-element profiles:
+    the elements scanned, and the sums of dim H~_{i-1} by i."""
+    scanned, sums = 0, {}
+    for _, _, profile in _profiles_for_degrees(config, field, [s]):
+        scanned += 1
+        for k, v in profile.items():
+            sums[k + 1] = sums.get(k + 1, 0) + v
+    return scanned, sums
+
+
+def refuse_to_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(betti, "enumerate_degree", refuse)
+    monkeypatch.setattr(betti, "_element_profile", refuse)
+
+
 def test_cache_round_trip(tmp_path):
     config = cfg(2, 5, (2, 3))
     cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    h = Multidegree((4, 6))
-    profile = reduced_homology(build_divisor_complex(h, config))
-    assert cache.get(h) is None
-    cache.put(h, profile)
+    col = column(config, 3)
+    assert col[0] > 0 and len(col[1]) > 1
+    assert cache.get(3) is None
+    cache.put(3, col)
     cache.save()
     assert cache.path.exists()
     reloaded = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    assert reloaded.get(h) == profile
+    assert reloaded.get(3) == col
+    assert reloaded.get(4) is None and len(reloaded) == 1
 
 
 def test_cache_shared_across_permuted_pinch(tmp_path):
@@ -44,40 +63,50 @@ def test_cache_shared_across_permuted_pinch(tmp_path):
     cache_a = HomologyCache(tmp_path, config_a, DEFAULT_FIELD)
     cache_b = HomologyCache(tmp_path, config_b, DEFAULT_FIELD)
     assert cache_a.path == cache_b.path
-    h = Multidegree((4, 6))
-    profile = reduced_homology(build_divisor_complex(h, config_a))
-    cache_a.put(h, profile)
+    for s in range(config_a.N + 2):
+        assert column(config_a, s) == column(config_b, s), s
+    cache_a.put(3, column(config_a, 3))
     cache_a.save()
+    # the permuted configuration reads the same column under the same degree
     reloaded_b = HomologyCache(tmp_path, config_b, DEFAULT_FIELD)
-    # the permuted configuration reads the same entry through the swapped key
-    assert reloaded_b.get(h.permuted((1, 0))) == profile
+    assert reloaded_b.get(3) == column(config_b, 3)
+    assert list(tmp_path.iterdir()) == [cache_a.path]
 
 
 def test_cache_discards_corruption(tmp_path):
     config = cfg(2, 4, (2, 2))
     cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    cache.put(Multidegree((4, 4)), HomologyProfile({0: 1}))
+    cache.put(2, (4, {1: 3}))
     cache.save()
     cache.path.write_text("{ not json")
     fresh = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    assert fresh.get(Multidegree((4, 4))) is None
-    # malformed single entry is skipped, valid ones survive
+    assert fresh.get(2) is None
+    # each malformed column is dropped alone, and the valid one survives
     payload = {
         "schema": SCHEMA_VERSION,
         "engine": ENGINE,
-        "profiles": {"4,4": [[0, 1]], "8,0": "garbage"},
+        "columns": {
+            "2": {"scanned": 4, "betti": {"1": 3}},
+            "3": "garbage",
+            "4": {"scanned": -1, "betti": {}},
+            "5": {"scanned": 2, "betti": {"1": 0}},
+            "6": {"scanned": 2, "betti": [[1, 1]]},
+            "7": {"scanned": "2", "betti": {}},
+            "8": {"betti": {}},
+            "9": {"scanned": 1, "betti": {"-1": 1}},
+            "x": {"scanned": 1, "betti": {}},
+        },
     }
     cache.path.write_text(json.dumps(payload))
     mixed = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    assert mixed.get(Multidegree((4, 4))) == HomologyProfile({0: 1})
-    assert mixed.get(Multidegree((8, 0))) is None
+    assert mixed.get(2) == (4, {1: 3})
+    assert len(mixed) == 1
 
 
-def test_cache_recomputes_profiles_of_another_engine(tmp_path):
+def test_cache_recomputes_columns_of_another_engine(tmp_path):
     config = cfg(2, 5, (2, 3))
-    h = Multidegree((4, 6))
     cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    cache.put(h, HomologyProfile({0: 99}))
+    cache.put(3, (1, {0: 99}))
     cache.save()
     raw = json.loads(cache.path.read_text())
     assert raw["engine"] == ENGINE
@@ -85,13 +114,14 @@ def test_cache_recomputes_profiles_of_another_engine(tmp_path):
     for stale in ({**raw, "engine": "older-engine"}, untagged):
         cache.path.write_text(json.dumps(stale))
         reloaded = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-        assert reloaded.get(h) is None
+        assert reloaded.get(3) is None
         assert len(reloaded) == 0
-    # a scan through the stale file computes the true profile and rewrites it
+    # a scan through the stale file computes the true columns and rewrites it
     table = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
     assert table.nonzero_cells() == graded_betti(config).nonzero_cells()
     rewritten = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    assert rewritten.get(h) == reduced_homology(build_divisor_complex(h, config))
+    assert len(rewritten) == table.s_max + 1
+    assert all(rewritten.get(s) == column(config, s) for s in range(table.s_max + 1))
     assert json.loads(cache.path.read_text())["engine"] == ENGINE
 
 
@@ -102,33 +132,32 @@ def test_cache_files_separate_by_field(tmp_path):
     a = HomologyCache(tmp_path, config, DEFAULT_FIELD)
     b = HomologyCache(tmp_path, config, GF2)
     assert a.path != b.path
-    h = Multidegree((4, 4))
-    a.put(h, HomologyProfile({0: 1}))
+    a.put(2, column(config, 2))
     a.save()
-    assert HomologyCache(tmp_path, config, GF2).get(h) is None
+    assert HomologyCache(tmp_path, config, GF2).get(2) is None
+    assert HomologyCache(tmp_path, config, DEFAULT_FIELD).get(2) == column(config, 2)
 
 
 def test_cache_writers_sharing_a_file_keep_each_others_entries(tmp_path):
     config = cfg(2, 5, (2, 3))
     a = HomologyCache(tmp_path, config, DEFAULT_FIELD)
     b = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    h_a, h_b, shared = Multidegree((4, 6)), Multidegree((6, 4)), Multidegree((5, 5))
-    a.put(h_a, HomologyProfile({0: 1}))
-    a.put(shared, HomologyProfile({0: 2}))
+    a.put(1, (3, {}))
+    a.put(3, (1, {0: 2}))
     a.save()
-    b.put(h_b, HomologyProfile({1: 1}))
-    b.put(shared, HomologyProfile({0: 3}))
+    b.put(2, (7, {1: 4}))
+    b.put(3, (1, {0: 3}))
     b.save()
     merged = HomologyCache(tmp_path, config, DEFAULT_FIELD)
     assert len(merged) == 3
-    assert merged.get(h_a) == HomologyProfile({0: 1})
-    assert merged.get(h_b) == HomologyProfile({1: 1})
-    assert merged.get(shared) == HomologyProfile({0: 3})  # the later writer's entry wins
+    assert merged.get(1) == (3, {})
+    assert merged.get(2) == (7, {1: 4})
+    assert merged.get(3) == (1, {0: 3})  # the later writer's column wins
     # a file of another engine is not merged in
     raw = json.loads(merged.path.read_text())
     merged.path.write_text(json.dumps({**raw, "engine": "older-engine"}))
     c = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    c.put(h_b, HomologyProfile({1: 1}))
+    c.put(2, (7, {1: 4}))
     c.save()
     assert len(HomologyCache(tmp_path, config, DEFAULT_FIELD)) == 1
 
@@ -136,7 +165,7 @@ def test_cache_writers_sharing_a_file_keep_each_others_entries(tmp_path):
 def _save_at_once(directory, writer, barrier):
     cache = HomologyCache(directory, cfg(2, 5, (2, 3)), DEFAULT_FIELD)
     for j in range(50):
-        cache.put(Multidegree((writer, j)), HomologyProfile({0: 1}))
+        cache.put(50 * writer + j, (1, {0: writer + 1}))
     barrier.wait()
     cache.save()
 
@@ -157,15 +186,18 @@ def test_cache_saves_at_the_same_instant_lose_no_entries(tmp_path):
         assert all(p.exitcode == 0 for p in procs)
         cache = HomologyCache(directory, cfg(2, 5, (2, 3)), DEFAULT_FIELD)
         assert len(cache) == writers * 50
+        assert all(cache.get(50 * w + j) == (1, {0: w + 1})
+                   for w in range(writers) for j in range(50))
 
 
 def test_cache_file_is_compact_sorted_json(tmp_path):
-    # the bytes that json.dump wrote before saves went through json.dumps
+    # the bytes that json.dump wrote before saves went through json.dumps;
+    # degrees past 9 check that the keys sort as the strings a reload reads
     config = cfg(2, 5, (2, 3))
     cache = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    graded_betti(config, cache=cache)
+    graded_betti(config, s_max=12, cache=cache)
     text = cache.path.read_text()
-    assert len(json.loads(text)["profiles"]) > 1
+    assert len(json.loads(text)["columns"]) == 13
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
 
 
@@ -178,6 +210,56 @@ def test_cache_feeds_graded_betti(tmp_path):
     assert len(warm_cache) > 0
     warm = graded_betti(config, cache=warm_cache)
     assert cold.entries == warm.entries
+
+
+@pytest.mark.parametrize("d, i", [(5, 2), (6, 0), (7, 2)])
+def test_warm_graded_betti_does_no_per_element_work(tmp_path, monkeypatch, d, i):
+    # every degree's column is read, so nothing is enumerated or settled
+    config = PinchConfig.from_pinch_index(d, i)
+    cold = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    refuse_to_scan(monkeypatch)
+    warm = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    assert warm.entries == cold.entries
+    assert warm.certified_cones == cold.certified_cones > 0
+
+
+def test_cache_serves_smaller_windows_with_no_scan(tmp_path, monkeypatch):
+    # the columns are not cut at i_max, so any smaller window reads them
+    config = PinchConfig.from_pinch_index(6, 2)
+    graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    windows = [(i_max, s_max) for i_max in range(config.N - 1)
+               for s_max in range(i_max + 1, config.N + 2)]
+    want = {w: graded_betti(config, i_max=w[0], s_max=w[1]) for w in windows}
+    refuse_to_scan(monkeypatch)
+    for (i_max, s_max), table in want.items():
+        got = graded_betti(config, i_max=i_max, s_max=s_max,
+                           cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+        assert got.entries == table.entries, (i_max, s_max)
+        assert got.certified_cones == table.certified_cones, (i_max, s_max)
+
+
+def test_larger_smax_scans_only_the_new_degrees(tmp_path, monkeypatch):
+    # the cache is written at i_max = 1, and read at the default i_max: a
+    # column cut at the window would lose the entries of the larger one
+    config = PinchConfig.from_pinch_index(7, 3)
+    graded_betti(config, i_max=1, s_max=config.N + 1,
+                 cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    enumerate_degree = betti.enumerate_degree
+    asked = []
+
+    def record(config, s, below=None):
+        asked.append(s)
+        return enumerate_degree(config, s, below)
+
+    monkeypatch.setattr(betti, "enumerate_degree", record)
+    top = config.N + 4
+    table = graded_betti(config, s_max=top,
+                         cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
+    assert asked == list(range(config.N + 2, top + 1))
+    want = graded_betti(config, s_max=top)
+    assert table.entries == want.entries
+    assert table.certified_cones == want.certified_cones
+    assert len(HomologyCache(tmp_path, config, DEFAULT_FIELD)) == top + 1
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -4,8 +4,8 @@
 complex has a generator g as an apex: a pure power d*e_q, or for max m = d
 at p a generator (d-1)*e_p + e_q.  The scan never builds those complexes;
 these tests build them anyway and check that each is a cone, pin how many
-the certificate settles, and check that the profile cache neither needs nor
-stores their profiles.
+the certificate settles, and check that the column cache counts only the
+elements it leaves.
 """
 
 import itertools
@@ -31,8 +31,9 @@ from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes, _prof
 from pinched_veronese.cache import ENGINE
 from test_cli_golden import DATA as GOLDEN, run
 
-# profile files that `betti -d 5 --pinch 2` and `verify -d 5 --pinch 2 --field 2`
-# wrote before the scan skipped certified cones: they hold every h, cones too
+# per-element profile files that `betti -d 5 --pinch 2` and `verify -d 5
+# --pinch 2 --field 2` wrote before the scan skipped certified cones, under an
+# engine before the column cache
 OLD_CACHE = Path(__file__).parent / "data" / "cache_before_certificate"
 
 
@@ -151,7 +152,7 @@ def test_scan_enumerates_exactly_the_uncertified_elements(monkeypatch, n, d, s_m
         assert scanned == expected, config
 
 
-# -- the profile cache --------------------------------------------------------
+# -- the column cache ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("case", [
@@ -159,34 +160,42 @@ def test_scan_enumerates_exactly_the_uncertified_elements(monkeypatch, n, d, s_m
     ["verify", "-d", "5", "--pinch", "2", "--field", "2"],
 ])
 def test_cache_written_before_the_certificate_gives_identical_output(tmp_path, case):
+    # the old files are per-element profiles of another engine: the first
+    # run discards the file it reads and rewrites it under the current
+    # ENGINE, and the later runs read it and rewrite nothing
     cache_dir = tmp_path / "cache"
     shutil.copytree(OLD_CACHE, cache_dir)
-    before = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
-    for name, raw in before.items():
-        payload = json.loads(raw)
-        assert payload["engine"] == ENGINE
-        # the old files also hold the certified elements (as empty profiles)
-        config = cfg(payload["n"], payload["d"], payload["m_normalized"])
-        assert all(",".join(map(str, h)) in payload["profiles"]
-                   for h in certified_in_scan(config, config.N + 1))
+    old = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+    assert all(json.loads(raw)["engine"] != ENGINE for raw in old.values())
     golden = {tuple(r["argv"]): r for r in json.loads(GOLDEN.read_text())}
+    seen = None
     for fmt in ("text", "json", "csv"):
         argv = [*case, "--format", fmt]
         got = run([*argv, "--cache-dir", str(cache_dir)])
         assert {**got, "argv": argv} == golden[tuple(argv)]
-    # every profile the scan needs is a hit, so nothing is rewritten
-    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == before
+        now = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+        if seen is None:
+            assert now.keys() == old.keys()
+            rewritten = [name for name in now if now[name] != old[name]]
+            assert len(rewritten) == 1
+            assert json.loads(now[rewritten[0]])["engine"] == ENGINE
+        else:
+            assert now == seen
+        seen = now
 
 
 def test_cold_scan_caches_no_certified_element(tmp_path):
+    # each degree's column counts the elements the certificate leaves
     config = PinchConfig.from_pinch_index(6, 2)
     table = graded_betti(config, cache=HomologyCache(tmp_path, config, DEFAULT_FIELD))
     reloaded = HomologyCache(tmp_path, config, DEFAULT_FIELD)
-    skipped = set(certified_in_scan(config, table.s_max))
-    assert len(skipped) == table.certified_cones > 0
+    assert len(reloaded) == table.s_max + 1
+    skipped = 0
     for s in range(table.s_max + 1):
-        for h in enumerate_degree(config, s):
-            assert (reloaded.get(h) is None) == (h in skipped)
-    assert len(reloaded) + len(skipped) == sum(
-        len(enumerate_degree(config, s)) for s in range(table.s_max + 1))
+        scanned, _sums = reloaded.get(s)
+        uncertified = hilbert_function(config, s) - len(certified(config, s))
+        assert scanned == uncertified == len(list(
+            _profiles_for_degrees(config, DEFAULT_FIELD, [s]))), s
+        skipped += len(certified(config, s))
+    assert skipped == table.certified_cones > 0
     assert graded_betti(config, cache=reloaded).nonzero_cells() == table.nonzero_cells()

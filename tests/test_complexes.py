@@ -280,7 +280,7 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
 # -- the shared subset tables -------------------------------------------------
 
 
-MEMOS = (complexes._level, complexes._subset_bits, semigroup._holes)
+MEMOS = (complexes._levels, complexes._subset_bits, semigroup._holes)
 
 
 def clear_memos():
@@ -289,18 +289,21 @@ def clear_memos():
 
 
 def test_tables_hold_no_subset_size_above_the_degree():
-    # every memo entry is the sum classes of one subset size, or the holes
-    # of one degree
+    # the class levels of a generator set hold one entry per subset size,
+    # the holes one per degree, and neither grows past the largest degree
     from pinched_veronese import reduced_homology
 
     clear_memos()
     config = cfg(2, 8, (3, 5))
+    gens = generate_generators(config)
     for s in (1, 3, 5):
         for h in enumerate_degree(config, s):
             reduced_homology(build_divisor_complex(h, config))
+        assert len(complexes._levels(gens)) <= s + 1, s
         for memo in MEMOS:
             assert memo.cache_info().currsize <= s + 1, (memo, s)
-    assert complexes._level.cache_info().currsize == 6  # sizes 0..5 were asked for
+    assert len(complexes._levels(gens)) == 6  # sizes 0..5 were asked for
+    assert complexes._levels.cache_info().currsize == 1
     # a degree-5 element and its remainders have degrees 0, 1, ..., 5
     assert semigroup._holes.cache_info().currsize == 6
 
@@ -333,11 +336,13 @@ def test_scan_builds_bitset_tables_on_demand_with_capped_rows():
 def test_sum_class_levels_follow_the_subsets_in_lexicographic_order(config):
     # each level is grown from the one below; its masks must come in
     # combinations order and each class must hold the sum of its subset
-    from pinched_veronese.complexes import _level
+    from pinched_veronese.complexes import _levels, _next_level
 
     gens = generate_generators(config)
+    level = _levels(gens)[0]
     for f in range(7):
-        level = _level(gens, f)
+        if f:
+            level = _next_level(gens, level)
         subsets = list(itertools.combinations(range(len(gens)), f))
         assert level.masks == tuple(sum(1 << v for v in sub) for sub in subsets), f
         assert len(level.ids) == len(subsets), f

@@ -153,8 +153,6 @@ def test_circle_and_sphere():
 def test_profile_type_contract():
     prof = HomologyProfile({0: 2, 3: 0})
     assert prof[0] == 2 and prof[3] == 0 and prof[99] == 0
-    assert prof.to_pairs() == [[0, 2]]
-    assert HomologyProfile.from_pairs([[0, 2]]) == prof
     with pytest.raises(ValueError):
         HomologyProfile({0: -1})
 
