@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 from math import comb
 from typing import Callable, NamedTuple, Optional
 
-from .complexes import build_divisor_complex, divisor_bits, veronese_generators
+from .complexes import build_divisor_complex, divisor_bits, table_bytes, veronese_generators
 from .errors import ResourceLimitExceeded, UncertifiedTableError
 from .homology import HomologyProfile, reduced_homology, settled_profile
 from .linalg import DEFAULT_FIELD, FieldSpec
@@ -132,7 +132,7 @@ def _element_profile(h, config: PinchConfig, field: FieldSpec, cap: int) -> Homo
     faces, bits = divisor_bits(h, config, cap)
     profile = settled_profile(faces, bits.vertices, bits.sizes)
     if profile is None:
-        profile = reduced_homology(build_divisor_complex(h, config), field)
+        profile = reduced_homology(build_divisor_complex(h, config, cap), field)
     return profile
 
 
@@ -431,8 +431,10 @@ def witness_non_cm(
     the boundary of a simplex on all generators, giving top homology at
     i = N-2.  max(m) = d-1 with n > 2: h = m plus N-n+1 generators avoiding m
     and the pure power at m's top position, giving homology at i = N-n.
-    Much cheaper than a table scan: one complex, whose cost proxy is
-    `degree_cost(config)`, settled on its bitset as the scan settles h.
+    Much cheaper than a table scan: one complex, settled on its bitset as
+    the scan settles h, whose cost proxy is `degree_cost(config)` plus the
+    bytes of that table at cap = |h| (`complexes.table_bytes`), charged
+    before the table is built.
     """
     if is_cohen_macaulay(config):
         raise ValueError(
@@ -443,9 +445,6 @@ def witness_non_cm(
         # the degree-2 semigroup misses more than (td-1, 1, 0, ...); the
         # witness construction (and the classification it supports) needs d >= 3
         raise ValueError("the non-CM witness construction requires d >= 3")
-    cost = degree_cost(config)
-    if cost > budget:
-        raise ResourceLimitExceeded(cost, budget)
     if cls is PinchClass.INTERIOR:
         h = sum(veronese_generators(config.n, config.d), Multidegree((0,) * config.n))
         k = config.N - 3
@@ -459,6 +458,9 @@ def witness_non_cm(
         h = sum(chosen, config.m)
         k = config.N - config.n - 1
         index = config.N - config.n
+    cost = degree_cost(config) + table_bytes(config, h.total)
+    if cost > budget:
+        raise ResourceLimitExceeded(cost, budget)
     dim = _element_profile(h, config, field, h.total)[k]
     if dim <= 0:
         raise ArithmeticError(

@@ -71,7 +71,7 @@ class HomologyCache:
         from pathlib import Path  # as tempfile in save: runs with no cache skip both
         self.config = config
         self.field = field
-        m_tag = "-".join(str(c) for c in config.normalization()[0])
+        m_tag = "-".join(str(c) for c in config.normalization())
         self.path = (
             Path(directory)
             / f"profiles-n{config.n}-d{config.d}-m{m_tag}-{_field_tag(field)}.json"
@@ -125,7 +125,7 @@ class HomologyCache:
                 "engine": ENGINE,
                 "n": self.config.n,
                 "d": self.config.d,
-                "m_normalized": list(self.config.normalization()[0]),
+                "m_normalized": list(self.config.normalization()),
                 "field": self.field.label,
                 # string keys, so that the file sorts them as a reload does
                 "columns": {str(s): {"scanned": scanned,

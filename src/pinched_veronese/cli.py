@@ -18,7 +18,7 @@ from typing import Callable
 
 from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, degree_cost, graded_betti
 from .cache import SCHEMA_VERSION, HomologyCache
-from .complexes import alexander_dual, build_divisor_complex
+from .complexes import alexander_dual, build_divisor_complex, table_bytes
 from .errors import ResourceLimitExceeded
 from .homology import (
     boundary_square_is_zero,
@@ -315,11 +315,13 @@ def _cmd_dualcheck(args) -> CommandResult:
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
     _require_non_negative("--coarse", args.coarse)
-    cost = degree_cost(config, None if args.element else args.coarse)
+    element = _parse_vector(args.element) if args.element else None
+    # each complex is read off a subset table of cap |h|, charged beside it
+    cap = element.total if args.element else args.coarse * config.d
+    cost = degree_cost(config, None if args.element else args.coarse) + table_bytes(config, cap)
     if cost > args.budget:
         raise ResourceLimitExceeded(cost, args.budget)
-    elements = ([_parse_vector(args.element)] if args.element
-                else enumerate_degree(config, args.coarse))
+    elements = [element] if args.element else enumerate_degree(config, args.coarse)
     failures = []
     checked = 0
     for h in elements:

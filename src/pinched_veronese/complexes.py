@@ -12,26 +12,24 @@ The split of a complex at one vertex v is stated once, in
 `link` is the complex without them, `is_cone` asks whether an apex has
 none, and `homology` reduces them.
 
-The face rule is stated once and read on two tables of the generator
-subsets: F is a face when sum(F) <= h, an AND of one row per coordinate,
+The face rule is stated once, in `_face_bits`, on the one table of the
+generator subsets that `_subset_bits` holds (a bounded memo of
+per-vertex, per-size and per-coordinate bitsets over all 2^V subset
+masks): F is a face when sum(F) <= h, an AND of one row per coordinate,
 and h - sum(F) is no hole of its degree (`semigroup._holes`), the members
-`_hole_members` clears.  A bounded memo, `_levels(gens)`, holds the sum
-classes of the subsets of each size f, each grown from the size below, and
-`_divisor_levels` keeps the subsets of the classes left, size by size up to
-|h|/d.
-
-A Betti scan first reads each divisor complex as one bitset over all 2^V
-subset masks (`divisor_bits`), on a second bounded memo, `_subset_bits`,
-of per-vertex, per-size and per-coordinate bitsets; it builds levels only
-for the complexes that `homology.settled_profile` cannot settle.
+`_hole_members` clears.  A Betti scan reads each divisor complex as that
+bitset (`divisor_bits`) and settles most of them there
+(`homology.settled_profile`); a built complex reads its levels off the
+same bitset, one `compress` of the f-subsets in lexicographic order
+(`_subsets`) per size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, combinations, compress
-from operator import add, and_, or_, sub
+from itertools import chain, combinations, compress
+from operator import and_, or_, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .semigroup import (
@@ -140,55 +138,6 @@ class SimplicialComplex:
         )
 
 
-class _Level(NamedTuple):
-    """The sum classes of the f-subsets of the vertices 0..k-1: their
-    `masks` in lexicographic order of the sorted vertex tuples, each one's
-    class id, the distinct `sums` in id order, and `at_most[j][x]`, the
-    bitmask of the ids whose sum v has v_j <= x (x up to the largest v_j)."""
-
-    masks: tuple[int, ...]
-    ids: tuple[int, ...]
-    sums: tuple[tuple[int, ...], ...]
-    at_most: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=2)
-def _levels(gens: tuple[tuple[int, ...], ...]) -> list[_Level]:
-    """The `_Level`s of the vertices 0..len(gens)-1 by size f, vertex j
-    having generator gens[j]: a list that `_divisor_levels` grows with
-    `_next_level` as far as it asks, so that a build looks the generator
-    set up once (bounded memo: the two latest generator sets, each up to
-    the largest size asked)."""
-    zero = (0,) * len(gens[0])
-    return [_Level((0,), (0,), (zero,), ((1,),) * len(zero))]
-
-
-def _next_level(gens: tuple[tuple[int, ...], ...], prev: _Level) -> _Level:
-    """The `_Level` of the f-subsets, from `prev`, that of the (f-1)-subsets.
-
-    In lexicographic order, the f-subsets of 0..k-1 are the (f-1)-subsets
-    in their order, each extended in turn by every vertex j above its
-    largest one.  So walking the level below that way lists the f-subsets
-    in order, each mask being its parent's with bit j set and each sum its
-    parent's plus gens[j].
-    """
-    index: dict[tuple[int, ...], int] = {}
-    masks = []
-    ids = []
-    for pm, pid in zip(prev.masks, prev.ids):
-        s = prev.sums[pid]
-        for j in range(pm.bit_length(), len(gens)):
-            masks.append(pm | 1 << j)
-            ids.append(index.setdefault(tuple(map(add, s, gens[j])), len(index)))
-    at_most = []
-    for j in range(len(gens[0])):
-        by_value = [0] * (max(v[j] for v in index) + 1)
-        for i, v in enumerate(index):
-            by_value[v[j]] |= 1 << i
-        at_most.append(tuple(accumulate(by_value, or_)))
-    return _Level(tuple(masks), tuple(ids), tuple(index), tuple(at_most))
-
-
 class _SubsetBits(NamedTuple):
     """Bitsets over the subsets F of the vertices 0..V-1, one Python int
     each, bit F standing for the subset with mask F: `vertices[v]`, the F
@@ -205,17 +154,18 @@ def _subset_bits(gens: tuple[tuple[int, ...], ...], cap: int) -> _SubsetBits:
     """The `_SubsetBits` of the vertices 0..len(gens)-1, vertex j having
     generator gens[j], up to coordinate `cap` (bounded memo).
 
-    A table holds at most n*(cap+1) + V + cap/d + 1 ints of 2^V bits, so a
-    caller passes as `cap` the largest coordinate it can ask about: a scan
-    s_max*d, and a non-CM witness its own total.  The rows of coordinate j
-    stop sooner where the sum of all gens[k][j] is smaller (their last row
-    is then every subset), and `sizes` stops at cap/d vertices, the largest
-    face an h with |h| <= cap can have.  At the default budget the largest
-    table that a scan builds is about 17 MB (n=2, d=21, s_max=1).  Nothing
-    loops over the subsets: each bitset is grown one vertex at a time, the
-    subsets of 0..k being those of 0..k-1 and their shifts by 2^k, which
-    gain vertex k (so `vertices[k]` is the shifted half alone), its size
-    and its generator.
+    A table holds at most n*(cap+1) + V + cap/d + 1 ints of 2^V bits
+    (`table_bytes`), so a caller passes as `cap` the largest coordinate it
+    can ask about: a scan s_max*d, which its fallback builds reuse, and a
+    non-CM witness or a one-off build its own |h|.  The rows of coordinate
+    j stop sooner where the sum of all gens[k][j] is smaller (their last
+    row is then every subset), and `sizes` stops at cap/d vertices, the
+    largest face an h with |h| <= cap can have.  At the default budget the
+    largest table that a scan builds is about 17 MB (n=2, d=21, s_max=1).
+    Nothing loops over the subsets: each bitset is grown one vertex at a
+    time, the subsets of 0..k being those of 0..k-1 and their shifts by
+    2^k, which gain vertex k (so `vertices[k]` is the shifted half alone),
+    its size and its generator.
     """
     sizes = [1] + [0] * min(len(gens), cap // sum(gens[0]))
     rows = [[1] + [0] * min(cap, sum(g[j] for g in gens)) for j in range(len(gens[0]))]
@@ -236,11 +186,27 @@ def _subset_bits(gens: tuple[tuple[int, ...], ...], cap: int) -> _SubsetBits:
     return _SubsetBits(tuple(vertices), tuple(sizes), tuple(map(tuple, rows)))
 
 
+def table_bytes(config: PinchConfig, cap: int) -> int:
+    """The size in bytes of the `_subset_bits` table that `divisor_bits(h,
+    config, cap)` reads: each of its rows is an int of 2^V bits."""
+    gens = generate_generators(config)
+    rows = (len(gens) + 1 + min(len(gens), cap // config.d)
+            + sum(min(cap, sum(column)) + 1 for column in zip(*gens)))
+    return rows << len(gens) >> 3
+
+
+@lru_cache(maxsize=64)
+def _subsets(V: int, f: int) -> tuple[int, ...]:
+    """The masks of the f-subsets of the vertices 0..V-1, in lexicographic
+    order of the sorted vertex tuples (bounded memo, one entry per size)."""
+    return tuple(map(sum, combinations([1 << v for v in range(V)], f)))
+
+
 def _hole_members(h, total: int, missing: _HoleSet, at_most) -> int:
-    """The bitmask of the table members whose sum v makes h - v a hole, the
-    holes of this total being `missing` and `at_most[j][x]` the members
-    with v_j <= x (a row past the last is the last).  A half-space r_p >= low
-    is the row of v_p <= h_p - low, and each other hole r the v = h - r, the
+    """The bitmask of the subsets whose sum v makes h - v a hole, the holes
+    of this total being `missing` and `at_most[j][x]` the subsets with
+    v_j <= x (a row past the last is the last).  A half-space r_p >= low is
+    the row of v_p <= h_p - low, and each other hole r the v = h - r, the
     AND over j of row v_j without the row below it."""
     holes = 0
     if missing.half and h[missing.half[0]] >= missing.half[1]:
@@ -254,75 +220,70 @@ def _hole_members(h, total: int, missing: _HoleSet, at_most) -> int:
     return holes
 
 
-def divisor_bits(h, config: PinchConfig, cap: int) -> tuple[int, _SubsetBits]:
-    """The divisor complex of h in H as a bitset, with the `_subset_bits`
-    table of cap >= |h| it is read on: bit F is set when h - sum(F) is in H.
+def _face_bits(h, gens, holes: Optional[Callable[[int], _HoleSet]],
+               cap: int) -> tuple[int, _SubsetBits]:
+    """{F : h - sum(F) in H} as a bitset, for h in H, with the
+    `_subset_bits` table of cap >= |h| it is read on.
 
-    It is the face rule of `_divisor_levels` read on the subsets: the AND
-    of one `at_most` row per coordinate, less the F of the holes at each
-    size f (`_hole_members`), cleared as a ^= a & b where there are any,
-    since the complement of a wide int costs far more.
+    `gens` holds the generator of each vertex, each of total d, and
+    `holes(t)` gives the vectors of total t*d missing from H, as
+    `semigroup._holes` does (None: H misses none).  Every remainder has a
+    total that is a multiple of d, so it is in H exactly when it is
+    non-negative and not a hole: the AND of one `at_most` row per
+    coordinate, less the F of the holes at each size f (`_hole_members`),
+    cleared as a ^= a & b where there are any, since the complement of a
+    wide int costs far more.
     """
-    bits = _subset_bits(generate_generators(config), cap)
+    bits = _subset_bits(gens, cap)
     at_most = bits.at_most
     faces = reduce(and_, (row[min(x, len(row) - 1)] for x, row in zip(h, at_most)))
-    d, total = config.d, sum(h)
-    # at f = |h|/d the remainder is 0, never a hole
-    for f in range(1, min(total // d - 1, len(bits.sizes) - 1) + 1):
-        if holes := _hole_members(h, total - f * d, _holes(config, total // d - f), at_most):
-            faces ^= faces & bits.sizes[f] & holes
+    if holes is not None:
+        d, total = sum(gens[0]), sum(h)
+        # at f = |h|/d the remainder is 0, never a hole
+        for f in range(1, min(total // d - 1, len(bits.sizes) - 1) + 1):
+            if members := _hole_members(h, total - f * d, holes(total // d - f), at_most):
+                faces ^= faces & bits.sizes[f] & members
     return faces, bits
+
+
+def divisor_bits(h, config: PinchConfig, cap: int) -> tuple[int, _SubsetBits]:
+    """The divisor complex of h in H as a bitset, bit F set when h - sum(F)
+    is in H, with its table of cap >= |h| (`_face_bits`)."""
+    return _face_bits(h, generate_generators(config), partial(_holes, config), cap)
 
 
 # bin() digits as bytes 0/1, so that compress reads them as truth values
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _divisor_levels(
-    h: tuple[int, ...],
-    gens: tuple[tuple[int, ...], ...],
-    holes: Callable[[int], _HoleSet],
-) -> tuple[tuple[int, ...], ...]:
-    """Levels of {F : h - sum(F) in H}, for h in H.
-
-    `gens` holds the generator of each vertex, each of total d, so a
-    face has at most |h|/d vertices and no larger subset is looked at, and
-    `holes(t)` gives the vectors of total t*d missing from H, as
-    `semigroup._holes` does.  Every remainder has a total that is a
-    multiple of d, so it is in H exactly when it is non-negative and not a
-    hole.  Per size f, the classes v <= h of `_levels(gens)[f]` are the AND
-    of one `at_most` row per coordinate, less those of the holes
-    (`_hole_members`); their subsets form the level, and the first empty
-    level ends the (downward closed) complex.
-    """
-    d, total = sum(gens[0]), sum(h)
-    tables = _levels(gens)
-    levels = [(0,)]
-    for f in range(1, min(total // d, len(gens)) + 1):
-        if f == len(tables):
-            tables.append(_next_level(gens, tables[-1]))
-        masks, ids, sums, at_most = tables[f]
-        ok = (1 << len(sums)) - 1
-        for x, row in zip(h, at_most):
-            if x < len(row):
-                ok &= row[x]
-        ok ^= ok & _hole_members(h, total - f * d, holes(total // d - f), at_most)
-        if not ok:
+def _face_levels(faces: int, bits: _SubsetBits) -> tuple[tuple[int, ...], ...]:
+    """The levels of the complex with bitset `faces` on the table `bits`:
+    per size f, one `compress` of `_subsets(V, f)` by the bits of `faces`,
+    until the first empty size ends the (downward closed) complex."""
+    V = len(bits.vertices)
+    flags = bin(faces | 1 << (1 << V))[:2:-1].encode().translate(_BITS)
+    levels = []
+    for f, size in enumerate(bits.sizes):
+        if not faces & size:
             break
-        flags = bin(ok)[:1:-1].encode().translate(_BITS).ljust(len(sums), b"\0")
-        levels.append(tuple(compress(masks, map(flags.__getitem__, ids))))
+        masks = _subsets(V, f)
+        levels.append(tuple(compress(masks, map(flags.__getitem__, masks))))
     return tuple(levels)
 
 
-def build_divisor_complex(h, config: PinchConfig) -> SimplicialComplex:
-    """Divisor complex of h over the pinched generators; void when h is not in H."""
+def build_divisor_complex(h, config: PinchConfig, cap: Optional[int] = None) -> SimplicialComplex:
+    """Divisor complex of h over the pinched generators; void when h is not in H.
+
+    Its levels are read off the `divisor_bits` table of `cap` (default |h|),
+    so a scan passing its own cap reuses the table it holds; a cap below |h|
+    would cut rows that faces need, and is refused.
+    """
     h = Multidegree(h)
-    gens = generate_generators(config)
-    ground = tuple(range(len(gens)))
-    levels = ()
-    if is_member_closed(h, config):
-        levels = _divisor_levels(h, gens, partial(_holes, config))
-    return SimplicialComplex(ground, levels=levels)
+    cap = h.total if cap is None else cap
+    if cap < h.total:
+        raise ValueError(f"table cap {cap} is below |h| = {h.total}")
+    levels = _face_levels(*divisor_bits(h, config, cap)) if is_member_closed(h, config) else ()
+    return SimplicialComplex(range(config.N - 1), levels=levels)
 
 
 def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
@@ -331,17 +292,13 @@ def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
 
 
 def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
-    """Divisor complex of h for the full (unpinched) Veronese semigroup.
-
-    Vertex labels index veronese_generators(n, d).
-    """
+    """Divisor complex of h for the full (unpinched) Veronese semigroup, on
+    the labels of veronese_generators(n, d)."""
     h = Multidegree(h)
     gens = veronese_generators(n, d)
-    ground = tuple(range(len(gens)))
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = (_divisor_levels(h, gens, lambda t: _HoleSet())
-              if h.total % d == 0 else ())
-    return SimplicialComplex(ground, levels=levels)
+    levels = _face_levels(*_face_bits(h, gens, None, h.total)) if h.total % d == 0 else ()
+    return SimplicialComplex(range(len(gens)), levels=levels)
 
 
 def alexander_dual(

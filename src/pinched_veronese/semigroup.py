@@ -120,15 +120,10 @@ class PinchConfig(_PinchFields):
         """Number of degree-d exponent vectors, binom(n+d-1, d)."""
         return comb(self.n + self.d - 1, self.d)
 
-    def normalization(self) -> tuple[Multidegree, tuple[int, ...]]:
-        """Sorted-descending pinch vector and the permutation realizing it.
-
-        The permutation `perm` satisfies m.permuted(perm) = sorted m; it is the
-        stable sort by descending coordinate, recorded so callers (e.g. the
-        result cache) can map arbitrary m onto a canonical representative.
-        """
-        perm = tuple(sorted(range(self.n), key=lambda j: (-self.m[j], j)))
-        return self.m.permuted(perm), perm
+    def normalization(self) -> Multidegree:
+        """The pinch vector sorted descending: the canonical representative
+        of m under permuting coordinates, which the result cache files by."""
+        return Multidegree(sorted(self.m, reverse=True))
 
 
 @lru_cache(maxsize=128)

@@ -20,6 +20,7 @@ from pinched_veronese import (
     witness_non_cm,
 )
 from pinched_veronese.betti import degree_cost
+from pinched_veronese.complexes import table_bytes
 
 
 def cfg(n, d, m):
@@ -313,12 +314,26 @@ def test_witness_is_settled_without_building_its_complex(monkeypatch):
 
 @pytest.mark.parametrize("n, d, m", [(2, 5, (2, 3)), (3, 3, (2, 1, 0)), (3, 3, (1, 1, 1))])
 def test_witness_refused_just_below_its_budget(n, d, m):
+    # one complex, and the bytes of the table of cap |h| it is settled on
     config = cfg(n, d, m)
-    cost = degree_cost(config)
+    cost = degree_cost(config) + table_bytes(config, witness_non_cm(config).h.total)
     with pytest.raises(ResourceLimitExceeded) as err:
         witness_non_cm(config, budget=cost - 1)
     assert err.value.estimate == cost and err.value.budget == cost - 1
     assert witness_non_cm(config, budget=cost).dimension >= 1
+
+
+def test_witness_table_is_charged_before_it_is_built():
+    # the n=2 d=22 interior witness has |h| = 506, so its table holds 531
+    # rows of 2^22 bits (about 2.8e8 bytes), past the default budget
+    from pinched_veronese import complexes
+
+    config = cfg(2, 22, (11, 11))
+    complexes._subset_bits.cache_clear()
+    with pytest.raises(ResourceLimitExceeded) as err:
+        witness_non_cm(config)
+    assert err.value.estimate == degree_cost(config) + 531 * 2**19
+    assert complexes._subset_bits.cache_info().currsize == 0
 
 
 def test_witness_rejected_for_cm_classes():

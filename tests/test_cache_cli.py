@@ -437,6 +437,22 @@ def test_cli_dualcheck_default_budget_passes_golden_cases(capsys, argv):
     assert main(argv) == 0
 
 
+def test_cli_dualcheck_charges_the_table_it_reads(capsys):
+    # a one-off build reads a table of 2^V-bit rows: at V = 26 that alone
+    # is 82 rows of 8 MB, refused before any is built
+    assert main(["dualcheck", "-d", "26", "--pinch", "13", "--element", "26,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+    # the 23 complexes of n=2 d=22 at coarse degree 1 and their table of
+    # 70 rows of 2^22 bits come to 23 * 2^22 + 70 * 2^19 = 133,169,152
+    argv = ["dualcheck", "-d", "22", "--pinch", "11", "--coarse", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("refused: estimated cost 133169152 ")
+    assert main([*argv, "--budget", "1000000000"]) == 0
+    assert "all pass" in capsys.readouterr().out
+
+
 def test_cli_verify_decides_the_cm_class_without_work(capsys):
     # normality of the max=d class is decided from the pinch class alone
     assert main(["verify", "-n", "3", "-d", "3", "--pinch", "3,0,0", "--budget", "1"]) == 0
@@ -505,13 +521,14 @@ def test_cli_rejects_empty_ranges_and_negative_degrees(capsys, argv, flag):
 
 
 def test_cli_verify_refuses_the_witness_over_budget(capsys):
-    # the witness complex of n=3 d=3 (2,1,0) costs 2^(N-1) = 512 subsets
+    # the witness complex of n=3 d=3 (2,1,0) costs 2^(N-1) = 512 subsets,
+    # and its table of cap |h| = 27 holds 30 + 9 + 9 + 1 rows of 2^9 bits
     argv = ["verify", "-n", "3", "-d", "3", "--pinch", "2,1,0"]
-    assert main([*argv, "--budget", "511"]) == 3
+    assert main([*argv, "--budget", "3647"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("refused: estimated cost 512 ")
-    assert main([*argv, "--budget", "512"]) == 0
+    assert captured.err.startswith("refused: estimated cost 3648 ")
+    assert main([*argv, "--budget", "3648"]) == 0
 
 
 def test_cli_resource_refusal(capsys):

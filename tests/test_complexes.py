@@ -280,7 +280,7 @@ def test_veronese_complex_matches_bruteforce(n, d, h):
 # -- the shared subset tables -------------------------------------------------
 
 
-MEMOS = (complexes._levels, complexes._subset_bits, semigroup._holes)
+MEMOS = (complexes._subsets, complexes._subset_bits, semigroup._holes)
 
 
 def clear_memos():
@@ -289,23 +289,21 @@ def clear_memos():
 
 
 def test_tables_hold_no_subset_size_above_the_degree():
-    # the class levels of a generator set hold one entry per subset size,
-    # the holes one per degree, and neither grows past the largest degree
+    # the subset listings hold one entry per size and the holes one per
+    # degree, and neither grows past the largest degree
     from pinched_veronese import reduced_homology
 
     clear_memos()
     config = cfg(2, 8, (3, 5))
-    gens = generate_generators(config)
     for s in (1, 3, 5):
         for h in enumerate_degree(config, s):
             reduced_homology(build_divisor_complex(h, config))
-        assert len(complexes._levels(gens)) <= s + 1, s
         for memo in MEMOS:
             assert memo.cache_info().currsize <= s + 1, (memo, s)
-    assert len(complexes._levels(gens)) == 6  # sizes 0..5 were asked for
-    assert complexes._levels.cache_info().currsize == 1
-    # a degree-5 element and its remainders have degrees 0, 1, ..., 5
-    assert semigroup._holes.cache_info().currsize == 6
+    assert complexes._subsets.cache_info().currsize == 6  # sizes 0..5 were listed
+    # a degree-5 element has degree 5 and its remainders 1, ..., 4 (a face
+    # of size |h|/d leaves 0, never a hole)
+    assert semigroup._holes.cache_info().currsize == 5
 
 
 def test_scan_builds_bitset_tables_on_demand_with_capped_rows():
@@ -332,23 +330,26 @@ def test_scan_builds_bitset_tables_on_demand_with_capped_rows():
         assert all(len(rows) <= cap + 1 for rows in bits.at_most)
 
 
-@pytest.mark.parametrize("config", [cfg(2, 9, (4, 5)), cfg(3, 4, (2, 1, 1)), cfg(4, 3, (2, 1, 0, 0))])
-def test_sum_class_levels_follow_the_subsets_in_lexicographic_order(config):
-    # each level is grown from the one below; its masks must come in
-    # combinations order and each class must hold the sum of its subset
-    from pinched_veronese.complexes import _levels, _next_level
+@pytest.mark.parametrize("V", [1, 2, 9, 14, 19])
+def test_subsets_follow_the_combinations_order(V):
+    # every level is read off these listings, so they fix its order
+    from pinched_veronese.complexes import _subsets
 
-    gens = generate_generators(config)
-    level = _levels(gens)[0]
-    for f in range(7):
-        if f:
-            level = _next_level(gens, level)
-        subsets = list(itertools.combinations(range(len(gens)), f))
-        assert level.masks == tuple(sum(1 << v for v in sub) for sub in subsets), f
-        assert len(level.ids) == len(subsets), f
-        for p, sub in enumerate(subsets):
-            want = tuple(sum(gens[v][j] for v in sub) for j in range(config.n))
-            assert level.sums[level.ids[p]] == want, (f, sub)
+    for f in range(min(V, 7) + 1):
+        subsets = itertools.combinations(range(V), f)
+        assert _subsets(V, f) == tuple(sum(1 << v for v in sub) for sub in subsets), f
+
+
+def test_divisor_complex_refuses_a_cap_below_its_degree():
+    # a table of cap < |h| has no rows for the coordinates of h
+    config = cfg(2, 5, (2, 3))
+    h = Multidegree((6, 4))
+    assert build_divisor_complex(h, config, 10) == build_divisor_complex(h, config)
+    assert build_divisor_complex(h, config, 30) == build_divisor_complex(h, config)
+    with pytest.raises(ValueError):
+        build_divisor_complex(h, config, 9)
+    with pytest.raises(ValueError):
+        build_divisor_complex((7, 4), config, 10)  # not in H, and still refused
 
 
 def test_holes_are_stated_by_pinch_class():
@@ -495,10 +496,14 @@ def test_involution_levels_compare_like_face_sets(a, b, data):
         assert broken.levels != c.levels and broken.faces != c.faces
 
 
-def test_divisor_complex_levels_are_canonical():
-    # the grown levels match the constructor's lexicographic sort of the faces
-    for config in (cfg(2, 5, (2, 3)), cfg(3, 3, (1, 1, 1))):
-        for t in range(5):
-            for h in enumerate_degree(config, t):
-                c = build_divisor_complex(h, config)
-                assert c.levels == from_faces(c.ground, c.faces).levels, h
+@pytest.mark.parametrize("config, t_max", [
+    (cfg(2, 5, (2, 3)), 4), (cfg(3, 3, (1, 1, 1)), 4),
+    (cfg(4, 3, (2, 1, 0, 0)), 2), (cfg(3, 4, (2, 1, 1)), 3),
+])
+def test_divisor_complex_levels_are_canonical(config, t_max):
+    # the levels read off the bitset match the constructor's lexicographic
+    # sort of the faces
+    for t in range(t_max + 1):
+        for h in enumerate_degree(config, t):
+            c = build_divisor_complex(h, config)
+            assert c.levels == from_faces(c.ground, c.faces).levels, h

@@ -517,7 +517,7 @@ def test_settled_profile_matches_reduction_on_random_pinches(case):
 
 def test_subset_bits_match_the_subsets():
     # each bit of each table row, against the subsets themselves
-    from pinched_veronese.complexes import _subset_bits
+    from pinched_veronese.complexes import _subset_bits, table_bytes
 
     for config, cap in ((PinchConfig(3, 2, Multidegree((1, 1, 0))), 6),
                         (PinchConfig(2, 5, Multidegree((2, 3))), 30),
@@ -539,3 +539,6 @@ def test_subset_bits_match_the_subsets():
         for j, rows in enumerate(bits.at_most):
             assert len(rows) == min(cap, sum(g[j] for g in gens)) + 1
             assert rows == tuple(members(lambda f: total(f, j) <= x) for x in range(len(rows)))
+        # the budget charges every row at 2^V bits
+        count = len(bits.vertices) + len(bits.sizes) + sum(map(len, bits.at_most))
+        assert table_bytes(config, cap) * 8 == count << len(gens)

@@ -76,9 +76,11 @@ def test_no_interior_pinch_for_two_vars_degree_three():
 
 def test_normalization_sorts_descending():
     config = cfg(3, 4, (1, 3, 0))
-    norm, perm = config.normalization()
-    assert tuple(norm) == (3, 1, 0)
-    assert config.m.permuted(perm) == norm
+    norm = config.normalization()
+    assert isinstance(norm, Multidegree) and norm == (3, 1, 0)
+    # the stable sort of the coordinates by descending value carries m onto it
+    perm = tuple(sorted(range(config.n), key=lambda j: (-config.m[j], j)))
+    assert perm == (1, 0, 2) and config.m.permuted(perm) == norm
 
 
 # -- generators -------------------------------------------------------------
