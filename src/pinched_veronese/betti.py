@@ -15,7 +15,7 @@ from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from .complexes import build_divisor_complex, divisor_bits, table_bytes, veronese_generators
-from .errors import ResourceLimitExceeded, UncertifiedTableError
+from .errors import DEFAULT_COMPLEX_BUDGET, ResourceLimitExceeded, UncertifiedTableError
 from .homology import HomologyProfile, reduced_homology, settled_profile
 from .linalg import DEFAULT_FIELD, FieldSpec
 from .semigroup import (
@@ -27,8 +27,6 @@ from .semigroup import (
     is_cohen_macaulay,
 )
 from .series import hilbert_function
-
-DEFAULT_COMPLEX_BUDGET = 100_000_000
 
 
 class BettiTable:

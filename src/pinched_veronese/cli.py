@@ -6,25 +6,30 @@ format, renders only that one, and writes stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 refusal.  JSON output is schema-versioned and key-sorted; identical inputs
 produce identical bytes, warm cache or cold.
+
+Every command is a fresh process, so each pays only for what it runs.  This
+module loads `cache`, `errors`, `linalg` and `semigroup`; each subcommand
+imports the rest when it runs (`series` for hilbert, hpoly and canonical,
+`betti` for the scans, `theorems` for verify and the betti text catalog,
+`complexes` and `homology` for dualcheck).  The parser gives options only to
+the subcommand named first, and JSON goes through `_write_json`.  main()
+freezes the garbage collector's objects at exit, so the interpreter's final
+collection skips them.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
-from typing import Callable
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Callable
 
-from .betti import DEFAULT_COMPLEX_BUDGET, BettiTable, classify, degree_cost, graded_betti
 from .cache import SCHEMA_VERSION, HomologyCache
-from .complexes import alexander_dual, build_divisor_complex, table_bytes
-from .errors import ResourceLimitExceeded
-from .homology import (
-    boundary_square_is_zero,
-    euler_characteristic_matches,
-    reduced_homology,
-)
+from .errors import DEFAULT_COMPLEX_BUDGET, ResourceLimitExceeded
 from .linalg import FieldSpec
 from .semigroup import (
     Multidegree,
@@ -34,15 +39,9 @@ from .semigroup import (
     is_member_bruteforce,
     is_member_closed,
 )
-from .series import (
-    canonical_partner,
-    canonical_series_check,
-    h_polynomial,
-    hilbert_closed,
-    in_z,
-    one_minus_w,
-)
-from .theorems import expected_table, has_catalog, verify
+
+if TYPE_CHECKING:
+    from .betti import BettiTable
 
 CACHE_ENV_VAR = "PINCHED_VERONESE_CACHE_DIR"
 # largest `hilbert --expand`: the expansion is one list of that many + 1
@@ -147,6 +146,8 @@ def _cmd_member(args) -> CommandResult:
 
 
 def _cmd_hilbert(args) -> CommandResult:
+    from .series import hilbert_closed, in_z, one_minus_w
+
     config = _config_from_args(args)
     _require_non_negative("--expand", args.expand)
     if args.expand is not None and args.expand > MAX_EXPAND:
@@ -173,6 +174,8 @@ def _cmd_hilbert(args) -> CommandResult:
 
 
 def _cmd_hpoly(args) -> CommandResult:
+    from .series import h_polynomial
+
     config = _config_from_args(args)
     coeffs = list(h_polynomial(config))
     return (0, {**_config_fields(config), "coarse_coefficients": coeffs},
@@ -181,6 +184,8 @@ def _cmd_hpoly(args) -> CommandResult:
 
 
 def _scan(args) -> BettiTable:
+    from .betti import graded_betti
+
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
     return graded_betti(config, field, args.imax, args.smax,
@@ -188,8 +193,13 @@ def _scan(args) -> BettiTable:
 
 
 def _catalog_lines(table: BettiTable) -> list[str]:
-    """Each cataloged cell against the table; cells outside its rectangle are
-    marked not scanned, and a mismatch shows the erratum where there is one."""
+    """Each cataloged cell against the table, none when there is no catalog;
+    cells outside its rectangle are marked not scanned, and a mismatch shows
+    the erratum where there is one."""
+    from .theorems import expected_table, has_catalog
+
+    if not has_catalog(table.config):
+        return []
     exp = expected_table(table.config)
     lines = ["cataloged entries:"]
     for (i, s), v in sorted(exp.known.items()):
@@ -218,16 +228,15 @@ def _cmd_betti(args) -> CommandResult:
     payload = {"table": table.to_json_obj()}
 
     def text():
-        lines = [f"graded Betti table, n={config.n} d={config.d} m={tuple(config.m)} "
-                 f"over {table.field}", table.to_text()]
-        if has_catalog(config):
-            lines += _catalog_lines(table)
-        return lines
+        return [f"graded Betti table, n={config.n} d={config.d} m={tuple(config.m)} "
+                f"over {table.field}", table.to_text(), *_catalog_lines(table)]
 
     return 0, payload, text, [["i", "s", "value"], *payload["table"]["entries"]]
 
 
 def _cmd_classify(args) -> CommandResult:
+    from .betti import classify
+
     table = _scan(args)
     config = table.config
     report = classify(table).to_json_obj()
@@ -268,6 +277,8 @@ def _parse_sweep(spec: str) -> list[PinchConfig]:
 
 
 def _cmd_verify(args) -> CommandResult:
+    from .theorems import verify
+
     field = FieldSpec.parse(args.field)
     configs = _parse_sweep(args.sweep) if args.sweep else [_config_from_args(args)]
     reports = [verify(config, field, cache=_cache_for(args, config, field),
@@ -296,6 +307,8 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _cmd_canonical(args) -> CommandResult:
+    from .series import canonical_partner, canonical_series_check
+
     if args.d is None:
         raise ValueError("-d is required")
     t = canonical_partner(args.n, args.d, args.k)
@@ -312,6 +325,10 @@ def _cmd_canonical(args) -> CommandResult:
 
 
 def _cmd_dualcheck(args) -> CommandResult:
+    from .betti import degree_cost
+    from .complexes import alexander_dual, build_divisor_complex, table_bytes
+    from .homology import boundary_square_is_zero, euler_characteristic_matches, reduced_homology
+
     config = _config_from_args(args)
     field = FieldSpec.parse(args.field)
     _require_non_negative("--coarse", args.coarse)
@@ -384,66 +401,114 @@ BASE_OPTIONS = ("-n", "-d", "--pinch", "--format")
 COMPUTE_OPTIONS = (*BASE_OPTIONS, "--field", "--cache-dir", "--jobs", "--budget")
 SCAN_OPTIONS = (*COMPUTE_OPTIONS, "--imax", "--smax")
 
+# name: (function, shared options, summary, its own options after them)
+COMMANDS = {
+    "gens": (_cmd_gens, BASE_OPTIONS, "list the semigroup generators", {}),
+    "member": (_cmd_member, BASE_OPTIONS, "semigroup membership test", {
+        "--element": dict(required=True, help="multidegree a,b,..."),
+        "--cross-check": dict(action="store_true", help="also run the brute-force oracle"),
+        "--degree-cap": dict(type=int, default=None,
+                             help="brute-force degree bound (default 8d)")}),
+    "hilbert": (_cmd_hilbert, BASE_OPTIONS, "closed Hilbert series", {
+        "--expand": dict(type=int, default=None,
+                         help="also expand the series through this degree")}),
+    "hpoly": (_cmd_hpoly, BASE_OPTIONS, "h-polynomial (n=2)", {}),
+    "betti": (_cmd_betti, SCAN_OPTIONS, "graded Betti table", {}),
+    "classify": (_cmd_classify, SCAN_OPTIONS, "pdim/depth/CM/Gorenstein/linearity report", {}),
+    "verify": (_cmd_verify, COMPUTE_OPTIONS, "verify cataloged claims against the computed table",
+               {"--sweep": dict(default=None, help='e.g. "n=2,d=3..7"')}),
+    "canonical": (_cmd_canonical, ("-n", "-d", "--format"),
+                  "canonical partner index and series duality check",
+                  {"-k": dict(type=int, required=True, help="slice index, 0 <= k < d")}),
+    "dualcheck": (_cmd_dualcheck, (*BASE_OPTIONS, "--field", "--budget"),
+                  "boundary/euler/duality property checks on divisor complexes", {
+        "--coarse": dict(type=int, default=1, help="check every complex at this coarse degree"),
+        "--element": dict(default=None, help="check one multidegree a,b,...")}),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand with its summary, and options for the one that
+    argv[0] names, or for all of them when it names none (help, a usage
+    error): the options of the others are never parsed."""
     parser = argparse.ArgumentParser(
         prog="pinched-veronese",
         description="Exact Betti tables, Hilbert series and classification of "
                     "pinched Veronese rings",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, options, summary):
+    invoked = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (_, shared, summary, own) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        for flag, kwargs in SHARED_OPTIONS.items():
-            if flag in options:
+        if invoked in (None, name):
+            for flag, kwargs in SHARED_OPTIONS.items():
+                if flag in shared:
+                    p.add_argument(flag, **kwargs)
+            for flag, kwargs in own.items():
                 p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    command("gens", _cmd_gens, BASE_OPTIONS, "list the semigroup generators")
-
-    p = command("member", _cmd_member, BASE_OPTIONS, "semigroup membership test")
-    p.add_argument("--element", required=True, help="multidegree a,b,...")
-    p.add_argument("--cross-check", action="store_true",
-                   help="also run the brute-force oracle")
-    p.add_argument("--degree-cap", type=int, default=None,
-                   help="brute-force degree bound (default 8d)")
-
-    p = command("hilbert", _cmd_hilbert, BASE_OPTIONS, "closed Hilbert series")
-    p.add_argument("--expand", type=int, default=None,
-                   help="also expand the series through this degree")
-
-    command("hpoly", _cmd_hpoly, BASE_OPTIONS, "h-polynomial (n=2)")
-    command("betti", _cmd_betti, SCAN_OPTIONS, "graded Betti table")
-    command("classify", _cmd_classify, SCAN_OPTIONS,
-            "pdim/depth/CM/Gorenstein/linearity report")
-
-    p = command("verify", _cmd_verify, COMPUTE_OPTIONS,
-                "verify cataloged claims against the computed table")
-    p.add_argument("--sweep", default=None, help='e.g. "n=2,d=3..7"')
-
-    p = command("canonical", _cmd_canonical, ("-n", "-d", "--format"),
-                "canonical partner index and series duality check")
-    p.add_argument("-k", type=int, required=True, help="slice index, 0 <= k < d")
-
-    p = command("dualcheck", _cmd_dualcheck, (*BASE_OPTIONS, "--field", "--budget"),
-                "boundary/euler/duality property checks on divisor complexes")
-    p.add_argument("--coarse", type=int, default=1,
-                   help="check every complex at this coarse degree")
-    p.add_argument("--element", default=None, help="check one multidegree a,b,...")
-
     return parser
 
 
+def _write_json(obj, out: list[str], indent: str = "\n") -> None:
+    """Append the text of json.dumps(obj, sort_keys=True, indent=2) to `out`;
+    `indent` is the newline and spaces before obj's closing bracket.
+
+    It checks types in json's order, so subclasses (a Multidegree is a tuple)
+    encode as json encodes them, and hands floats, empty containers and what
+    json refuses (with its TypeError) to json.dumps, one value each.  Before
+    CPython 3.13, json.dumps with an indent runs json's pure-Python encoder.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = indent + "  "
+        if all(type(x) is int for x in obj):
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), indent, "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write_json(x, out, inner)
+            sep = "," + inner
+        out += (indent, "]")
+    elif isinstance(obj, dict) and obj:
+        inner = indent + "  "
+        sep = "{" + inner
+        # keys sort as they are; json.dumps of a one-key dict writes a non-str
+        # key (3, True, 1.5) as the string json makes of it, or refuses it
+        for key, value in sorted(obj.items()):
+            out += (sep, encode_basestring_ascii(key) if isinstance(key, str)
+                    else json.dumps({key: 0})[1:-4], ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out += (indent, "}")
+    else:
+        out.append(json.dumps(obj))
+
+
+_freeze_registered = False
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _freeze_registered
+    if not _freeze_registered:
+        # atexit runs its callbacks last in, first out, before the final
+        # collection: a worker pool started later shuts down first, and the
+        # collection then skips every object that the freeze moved aside
+        atexit.register(gc.freeze)
+        _freeze_registered = True
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        code, payload, text, rows = args.func(args)
+        code, payload, text, rows = COMMANDS[args.command][0](args)
         if args.format == "json":
-            out = json.dumps({"schema": SCHEMA_VERSION, "command": args.command, **payload},
-                             sort_keys=True, indent=2)
+            chunks: list[str] = []
+            _write_json({"schema": SCHEMA_VERSION, "command": args.command, **payload}, chunks)
+            out = "".join(chunks)
         elif args.format == "csv":
             out = "\n".join(",".join(str(x) for x in row) for row in rows)
         else:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# the default cap on a scan's estimated cost, complexes x subsets
+DEFAULT_COMPLEX_BUDGET = 100_000_000
+
 
 class UncertifiedTableError(ValueError):
     """A Betti table's scanned range is too small to certify the requested claim."""

@@ -201,3 +201,53 @@ def test_importing_the_cli_loads_no_file_helpers():
     assert "pinched_veronese.cli" in loaded
     unwanted = {"tempfile", "shutil", "random", "pathlib", "concurrent.futures"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
+def package_modules_after(*statements):
+    """The package's modules that a fresh `python -I -S` has loaded after
+    running `statements` with the package importable; -S keeps site's .pth
+    files from loading anything first.  Their stdout is discarded."""
+    code = "\n".join(["import contextlib, io, sys", "sys.path.insert(0, sys.argv[1])",
+                      "with contextlib.redirect_stdout(io.StringIO()):",
+                      *(f"    {s}" for s in statements),
+                      "print(' '.join(sorted(m for m in sys.modules "
+                      "if m.startswith('pinched_veronese.'))))"])
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return {name.removeprefix("pinched_veronese.") for name in out.split()}
+
+
+def test_importing_the_package_loads_no_module():
+    assert package_modules_after("import pinched_veronese") == set()
+
+
+def test_gens_loads_no_scan_series_or_catalog():
+    loaded = package_modules_after(
+        "from pinched_veronese.cli import main",
+        "main(['gens', '-d', '3', '--pinch', '1', '--format', 'json'])")
+    assert "cli" in loaded
+    assert not loaded & {"betti", "complexes", "homology", "series", "theorems"}, sorted(loaded)
+
+
+def test_a_json_table_loads_no_catalog():
+    loaded = package_modules_after(
+        "from pinched_veronese.cli import main",
+        "main(['betti', '-d', '4', '--pinch', '2', '--format', 'json'])")
+    assert "betti" in loaded and "theorems" not in loaded, sorted(loaded)
+
+
+def test_every_exported_name_resolves_on_first_use():
+    import pinched_veronese
+
+    assert len(pinched_veronese.__all__) == 52
+    names = dir(pinched_veronese)
+    for name in pinched_veronese.__all__:
+        assert name in names
+        assert getattr(pinched_veronese, name) is not None
+    assert pinched_veronese.graded_betti is graded_betti
+    with pytest.raises(AttributeError, match="nope"):
+        pinched_veronese.nope
+    from pinched_veronese.betti import DEFAULT_COMPLEX_BUDGET
+    from pinched_veronese.errors import DEFAULT_COMPLEX_BUDGET as moved
+
+    assert DEFAULT_COMPLEX_BUDGET is moved
