@@ -123,8 +123,9 @@ def degree_cost(config: PinchConfig, t: Optional[int] = None) -> int:
 
 def _element_profile(h, config: PinchConfig, field: FieldSpec, cap: int) -> HomologyProfile:
     """The profile of h in H, settled on the bitset of its divisor complex
-    (a `divisor_bits` table with cap >= |h|) when the matching can, else
-    built and reduced; h = 0 has {empty face} and needs no table."""
+    (a `divisor_bits` table with cap >= |h|) when the matching can; else
+    that bitset is built as a complex, whose pair's cells are reduced.
+    h = 0 has {empty face} and needs no table."""
     if not any(h):
         return HomologyProfile({-1: 1})
     faces, bits = divisor_bits(h, config, cap)
@@ -256,8 +257,8 @@ def _profiles_for_degrees(config: PinchConfig, field: FieldSpec, degrees: list[i
     It first settles h on the bitset of its divisor complex
     (`complexes.divisor_bits`, read on a table of rows up to
     max(degrees)*d that the first such h builds), by an element matching
-    (`homology.settled_profile`); only the h it leaves are built and
-    reduced.
+    (`homology.settled_profile`); an h it leaves is built as the same
+    bitset on the same table, and only its pair's cells are reduced.
     """
     apexes = _cone_apexes(config)
     work: list[tuple[int, Multidegree]] = []

@@ -4,8 +4,9 @@ Each subcommand computes its result once; main() alone picks the output
 format, renders only that one, and writes stdout.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-refusal.  JSON output is schema-versioned and key-sorted; identical inputs
-produce identical bytes, warm cache or cold.
+refusal, 141 (128 + SIGPIPE) stdout closed by its reader.  JSON output is
+schema-versioned and key-sorted; identical inputs produce identical bytes,
+warm cache or cold.
 
 Every command is a fresh process, so each pays only for what it runs.  This
 module loads `cache`, `errors`, `linalg` and `semigroup`; each subcommand
@@ -360,9 +361,7 @@ def _cmd_dualcheck(args) -> CommandResult:
                 failures.append((h, "alexander duality"))
             # the dual is void exactly when c is the full simplex on its
             # support; the involution only applies to non-void complexes.
-            # Levels are canonical (bit v is vertex v, lexicographic order),
-            # so equal levels are equal face sets.
-            if not dual.is_void and alexander_dual(dual, dual.ground).levels != c.levels:
+            if not dual.is_void and alexander_dual(dual, dual.ground).bits != c.bits:
                 failures.append((h, "dual involution"))
     payload = {**_config_fields(config), "field": field.label,
                "complexes_checked": checked,
@@ -513,7 +512,12 @@ def main(argv=None) -> int:
             out = "\n".join(",".join(str(x) for x in row) for row in rows)
         else:
             out = "\n".join(text())
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError:
+            # stdout's reader left; the interpreter's last flush writes to nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         return code
     except ResourceLimitExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -1,16 +1,17 @@
 """Squarefree divisor complexes and their combinatorial operations.
 
 A face of the divisor complex of h is a subset F of the generators with
-h - sum(F) still in the semigroup.  A face is stored as an int bitmask over
-vertex labels (bit v set when v is in the face); a complex keeps its faces
-grouped by size, each group in lexicographic order of the sorted vertex
-tuples, and always includes the empty face (mask 0) when it is non-void.
-Every complex is made from such levels, by the builders here.
+h - sum(F) still in the semigroup.  A face is an int mask over vertex
+labels (bit v set when v is in the face), and a complex is one int, bit F
+set for each face F, read on per-vertex and per-size rows: a divisor
+complex on its own table's, any other on `_ground_rows`.  Its faces are
+listed by size (`levels`) only for a boundary matrix.
 
-The split of a complex at one vertex v is stated once, in
-`_excision_cells`: the cells of v are the faces F with F + v not a face.
-`link` is the complex without them, `is_cone` asks whether an apex has
-none, and `homology` reduces them.
+The split of a complex at one vertex v is stated once, in `_pair_cells`:
+the cells of v are the faces F with F + v not a face.  `_pair_vertex`
+picks v, the vertex in the most faces (the smallest on ties).  `link` is
+the complex without them, `is_cone` asks whether a vertex has none, and
+`homology` settles or reduces them.
 
 The face rule is stated once, in `_face_bits`, on the one table of the
 generator subsets that `_subset_bits` holds (a bounded memo of
@@ -19,9 +20,8 @@ masks): F is a face when sum(F) <= h, an AND of one row per coordinate,
 and h - sum(F) is no hole of its degree (`semigroup._holes`), the members
 `_hole_members` clears.  A Betti scan reads each divisor complex as that
 bitset (`divisor_bits`) and settles most of them there
-(`homology.settled_profile`); a built complex reads its levels off the
-same bitset, one `compress` of the f-subsets in lexicographic order
-(`_subsets`) per size.
+(`homology.settled_profile`); a built complex is the same bitset on the
+same table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Set
 from functools import lru_cache, partial, reduce
 from itertools import chain, combinations, compress
-from operator import and_, or_, sub
+from operator import and_, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .semigroup import (
@@ -41,9 +41,6 @@ from .semigroup import (
     generate_generators,
     is_member_closed,
 )
-
-Face = frozenset
-
 
 def _mask(vertices: Iterable[int]) -> int:
     m = 0
@@ -66,70 +63,66 @@ class _FaceView(Set):
         self._c = c
 
     def __len__(self) -> int:
-        return sum(map(len, self._c.levels))
+        return self._c.bits.bit_count()
 
     def __iter__(self):
-        return (Face(_vertices(m)) for m in chain.from_iterable(self._c.levels))
+        return (frozenset(_vertices(m)) for m in chain.from_iterable(self._c.levels))
 
     def __contains__(self, f) -> bool:
-        m, levels = _mask(f), self._c.levels
-        return m.bit_count() < len(levels) and m in levels[m.bit_count()]
+        return bool(self._c.bits >> _mask(f) & 1)
 
 
 class SimplicialComplex:
     """Finite abstract simplicial complex on non-negative integer vertex labels.
 
-    `levels[k]` holds the masks of the faces with k vertices, in
-    lexicographic order; the void complex has no levels.
+    `bits` has bit F set for each face F (0 when void), read on the
+    `_SubsetBits` `rows` of every vertex and size of a face, by default
+    `_ground_rows` of the width of the largest face mask.
     """
 
-    __slots__ = ("ground", "levels")
+    __slots__ = ("ground", "bits", "rows")
 
-    def __init__(self, ground: Iterable[int], levels: tuple[tuple[int, ...], ...]):
+    def __init__(self, ground: Iterable[int], bits: int, rows: Optional[_SubsetBits] = None):
         self.ground = tuple(sorted(set(ground)))
-        self.levels = levels
+        self.bits = bits
+        self.rows = rows or _ground_rows(max(1, (bits.bit_length() - 1).bit_length()))
 
     # -- basic queries -------------------------------------------------
 
     @property
     def is_void(self) -> bool:
-        return not self.levels
+        return not self.bits
 
     @property
     def faces(self) -> _FaceView:
         return _FaceView(self)
 
-    def _support_mask(self) -> int:
-        return reduce(or_, chain.from_iterable(self.levels), 0)
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """The face masks by size, each size in lexicographic order."""
+        return _face_levels(self.bits, self.rows)
 
     def support(self) -> tuple[int, ...]:
-        """Vertices that actually appear in some face."""
-        return tuple(_vertices(self._support_mask()))
+        """Vertices that actually appear in some face: the v with {v} a face."""
+        return tuple(v for v in range(len(self.rows.vertices)) if self.bits >> (1 << v) & 1)
 
     @property
     def dim(self) -> int:
         """Dimension (max face size - 1); -1 for {empty face}, -2 for void."""
-        return len(self.levels) - 2
+        return _top(self.bits, self.rows.sizes) - 2
 
     def is_cone(self) -> bool:
-        """True if some vertex belongs to every maximal face (contractible).
-
-        Such an apex lies in every face of top size, and it is one exactly
-        when its excision pair has no cells: there are |c| - 2 * #{faces
-        with v} of them (`_excision_cells`).
-        """
-        if len(self.levels) < 2:
-            return False
-        apexes = _vertices(reduce(and_, self.levels[-1]))
-        return any(not any(_excision_cells(self.levels, v)) for v in apexes)
+        """True if some vertex belongs to every maximal face (contractible):
+        a vertex of the support whose pair has no cells (`_pair_cells`)."""
+        return any(not _pair_cells(self.bits, self.rows.vertices, v) for v in self.support())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.ground == other.ground and self.levels == other.levels
+        return self.ground == other.ground and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.levels))
+        return hash((self.ground, self.bits))
 
     def __repr__(self) -> str:
         return (
@@ -184,6 +177,13 @@ def _subset_bits(gens: tuple[tuple[int, ...], ...], cap: int) -> _SubsetBits:
         for x in range(1, len(row)):
             row[x] |= row[x - 1]
     return _SubsetBits(tuple(vertices), tuple(sizes), tuple(map(tuple, rows)))
+
+
+@lru_cache(maxsize=4)
+def _ground_rows(V: int) -> _SubsetBits:
+    """The vertex and size rows of the subsets of 0..V-1, V >= 1, that a
+    complex not read off a divisor table is stored on (bounded memo)."""
+    return _subset_bits.__wrapped__(((1,),) * V, V)._replace(at_most=())
 
 
 def table_bytes(config: PinchConfig, cap: int) -> int:
@@ -256,16 +256,19 @@ def divisor_bits(h, config: PinchConfig, cap: int) -> tuple[int, _SubsetBits]:
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _face_levels(faces: int, bits: _SubsetBits) -> tuple[tuple[int, ...], ...]:
-    """The levels of the complex with bitset `faces` on the table `bits`:
+def _top(faces: int, sizes: Sequence[int]) -> int:
+    """One more than the largest size of a mask in `faces`; 0 when it is 0."""
+    return next((f + 1 for f in range(len(sizes) - 1, -1, -1) if faces & sizes[f]), 0)
+
+
+def _face_levels(faces: int, rows: _SubsetBits) -> tuple[tuple[int, ...], ...]:
+    """The masks of the bitset `faces` on `rows` by size, up to the largest:
     per size f, one `compress` of `_subsets(V, f)` by the bits of `faces`,
-    until the first empty size ends the (downward closed) complex."""
-    V = len(bits.vertices)
+    V the width of `rows`."""
+    V = len(rows.vertices)
     flags = bin(faces | 1 << (1 << V))[:2:-1].encode().translate(_BITS)
     levels = []
-    for f, size in enumerate(bits.sizes):
-        if not faces & size:
-            break
+    for f in range(_top(faces, rows.sizes)):
         masks = _subsets(V, f)
         levels.append(tuple(compress(masks, map(flags.__getitem__, masks))))
     return tuple(levels)
@@ -274,16 +277,16 @@ def _face_levels(faces: int, bits: _SubsetBits) -> tuple[tuple[int, ...], ...]:
 def build_divisor_complex(h, config: PinchConfig, cap: Optional[int] = None) -> SimplicialComplex:
     """Divisor complex of h over the pinched generators; void when h is not in H.
 
-    Its levels are read off the `divisor_bits` table of `cap` (default |h|),
-    so a scan passing its own cap reuses the table it holds; a cap below |h|
+    It is the `divisor_bits` bitset on the table of `cap` (default |h|), so
+    a scan passing its own cap reuses the table it holds; a cap below |h|
     would cut rows that faces need, and is refused.
     """
     h = Multidegree(h)
     cap = h.total if cap is None else cap
     if cap < h.total:
         raise ValueError(f"table cap {cap} is below |h| = {h.total}")
-    levels = _face_levels(*divisor_bits(h, config, cap)) if is_member_closed(h, config) else ()
-    return SimplicialComplex(range(config.N - 1), levels=levels)
+    face_bits = divisor_bits(h, config, cap) if is_member_closed(h, config) else (0,)
+    return SimplicialComplex(range(config.N - 1), *face_bits)
 
 
 def veronese_generators(n: int, d: int) -> tuple[Multidegree, ...]:
@@ -297,8 +300,8 @@ def build_veronese_complex(h, n: int, d: int) -> SimplicialComplex:
     h = Multidegree(h)
     gens = veronese_generators(n, d)
     # the unpinched Veronese semigroup contains every vector of degree t*d
-    levels = _face_levels(*_face_bits(h, gens, None, h.total)) if h.total % d == 0 else ()
-    return SimplicialComplex(range(len(gens)), levels=levels)
+    face_bits = _face_bits(h, gens, None, h.total) if h.total % d == 0 else (0,)
+    return SimplicialComplex(range(len(gens)), *face_bits)
 
 
 def alexander_dual(
@@ -311,62 +314,49 @@ def alexander_dual(
     since the dual's own support can be smaller than V, pass the dual's
     ground set explicitly to invert (the dual stores it).
 
-    The levels are built on masks: the j-vertex subsets G of V come in
-    lexicographic order, and G is a face of the dual when V - G is not a
-    face of c.  The dual is downward closed, so the first empty level ends
-    it.
+    The dual is built on the bitset.  With V read as its mask, V - F is
+    V ^ F on the subsets F of V, so reversing bits 0..V of c takes each
+    face F to V - F; the dual is every subset of V but those complements.
     """
     if c.is_void:
         raise ValueError("the void complex has no Alexander dual")
     sup = tuple(ground) if ground is not None else c.support()
-    full = _mask(sup)
-    if c._support_mask() & ~full:
+    if not set(c.support()) <= set(sup):
         raise ValueError("ground set must contain the vertex support")
-    masks = set(chain.from_iterable(c.levels))
-    vertices = tuple(sorted(set(sup)))
-    levels = []
-    for j in range(len(vertices) + 1):
-        level = tuple(g for g in map(sum, combinations([1 << v for v in vertices], j))
-                      if full ^ g not in masks)
-        if not level:
-            break
-        levels.append(level)
-    return SimplicialComplex(sup, levels=tuple(levels))
+    full = _mask(sup)
+    complements, subsets = int(format(c.bits, f"0{full + 1}b")[::-1], 2), 1
+    for v in _vertices(full):
+        subsets |= subsets << (1 << v)
+    return SimplicialComplex(sup, subsets ^ complements)
 
 
-def _excision_cells(levels: Sequence[Sequence[int]], v: Optional[int] = None) -> list:
-    """The cells of the pair (del_v, lk_v) by size: the faces F with F + v not a face.
+def _pair_vertex(faces: int, vertices: Sequence[int]) -> int:
+    """The vertex whose pair a complex is settled or reduced from: the one
+    in the most faces, the smallest on ties.  The pair has |faces| -
+    2 * #{faces with v} cells, so it leaves the fewest, and none at an apex."""
+    return max(range(len(vertices)), key=lambda v: (faces & vertices[v]).bit_count(), default=0)
 
-    v defaults to the vertex in the most faces of the top size, the smallest
-    on ties.  A face with v is never a cell; one without v is, unless it is
-    in the link {G - v : G a face with v} taken one size up.
-    """
-    if v is None:
-        top = levels[-1]
-        v = max(range(reduce(or_, top).bit_length()),
-                key=lambda u: sum(1 for f in top if f >> u & 1), default=0)
-    b = 1 << v
-    cells = []
-    for f, level in enumerate(levels):
-        up = {g ^ b for g in levels[f + 1] if g & b} if f + 1 < len(levels) else ()
-        cells.append(tuple(m for m in level if not m & b and m not in up))
-    return cells
+
+def _pair_cells(faces: int, vertices: Sequence[int], v: int) -> int:
+    """The cells of the pair (del_v, lk_v) as a bitset: the faces F with
+    F + v not a face; every face when v is past the rows.  A face with v is
+    never one, and a shift by 2^v takes each face F + v to F (a & ~b is
+    written a ^ (a & b): a wide int is never complemented)."""
+    with_v = faces & vertices[v] if v < len(vertices) else 0
+    without_v = faces ^ with_v
+    return without_v ^ (without_v & (with_v >> (1 << v)))
 
 
 def link(c: SimplicialComplex, v: int) -> SimplicialComplex:
     """Faces F such that F together with v is still a face: c minus the
-    cells of v (`_excision_cells`).
+    cells of v (`_pair_cells`).
 
     This is the "fat" link {F : exists G in c with v in G, G >= F}; it keeps
     the faces containing v, and is void when v lies in no face.
     """
     if v not in c.ground:
         raise ValueError(f"vertex {v} is not in the ground set")
-    levels = tuple(tuple(f for f in level if f not in cut)
-                   for level, cut in zip(c.levels, map(set, _excision_cells(c.levels, v))))
-    while levels and not levels[-1]:
-        levels = levels[:-1]
-    return SimplicialComplex(c.ground, levels=levels)
+    return SimplicialComplex(c.ground, c.bits ^ _pair_cells(c.bits, c.rows.vertices, v), c.rows)
 
 
 def decomposition_check(h, d: int, i: int) -> bool:
@@ -376,7 +366,7 @@ def decomposition_check(h, d: int, i: int) -> bool:
     union of the pinched complex and the fat link at the pinched vertex; and
     when |h| = i*d, every face of their intersection must have dimension
     < i-2.  All three are compared on the Veronese labels, on which the
-    pinched complex's labels at and above the pinched vertex's move up by one.
+    pinched complex is the Veronese faces that avoid the pinched vertex.
     """
     h = Multidegree(h)
     if len(h) != 2:
@@ -386,13 +376,14 @@ def decomposition_check(h, d: int, i: int) -> bool:
         raise ValueError(f"pinch index {i} is not interior for d={d}")
     if h.total % d != 0:
         raise ValueError(f"|h| = {h.total} is not a multiple of d = {d}")
-    veronese = build_veronese_complex(h, 2, d)
-    pin = veronese_generators(2, d).index(m)
-    low = (1 << pin) - 1
-    pinched = {f & low | (f & ~low) << 1 for f in
-               chain.from_iterable(build_divisor_complex(h, PinchConfig(2, d, m)).levels)}
-    unpinched = set(chain.from_iterable(veronese.levels))
-    fat_link = set(chain.from_iterable(link(veronese, pin).levels))
-    if unpinched != pinched | fat_link:
+    gens, config = veronese_generators(2, d), PinchConfig(2, d, m)
+    veronese, pin = build_veronese_complex(h, 2, d), gens.index(m)
+    pinched = 0
+    if is_member_closed(h, config):  # the pinched face rule, on the faces avoiding m
+        pinched = _face_bits(h, gens, partial(_holes, config), h.total)[0]
+        pinched ^= pinched & veronese.rows.vertices[pin]
+    fat_link = link(veronese, pin).bits
+    if veronese.bits != pinched | fat_link:
         return False
-    return h.total != i * d or all(f.bit_count() - 1 < i - 2 for f in pinched & fat_link)
+    sizes = veronese.rows.sizes
+    return h.total != i * d or not any(pinched & fat_link & size for size in sizes[i - 1:])

@@ -2,19 +2,19 @@
 
 The augmented chain complex includes the empty face in degree -1, so the
 complex {[]} has one-dimensional homology in degree -1 and the divisor
-complex of 0 yields the Betti number 1 in homological degree 0.  Profiles
-are reduced, row by row, from the cells of one vertex's excision pair,
-which `complexes._excision_cells` lists.  A Betti scan first tries
-`settled_profile`, which reads a profile off a complex given as a bitset
-with no rank at all, when an iterated element matching leaves critical
-cells of one size.
+complex of 0 yields the Betti number 1 in homological degree 0.  Every
+profile starts from the face bitset of the excision pair of the vertex
+`complexes._pair_vertex` picks (`complexes._pair_cells`).  A Betti scan
+first tries `settled_profile`, which pairs the cells further and settles
+the profile with no rank when those left have one size; `reduced_homology`
+lists the cells, in order, and reduces their boundary maps.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet, Mapping, Optional, Sequence
 
-from .complexes import SimplicialComplex, _excision_cells
+from .complexes import SimplicialComplex, _face_levels, _pair_cells, _pair_vertex
 from .linalg import DEFAULT_FIELD, FieldSpec, pivot_columns
 
 
@@ -101,9 +101,10 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
     serves as the lower map of the next composition; its row j is the
     boundary of the face that the upper map's column j stands for.
     """
-    lower = boundary_matrix(c.levels, 0)  # vertices -> empty face
-    for k in range(1, c.dim + 1):
-        upper = boundary_matrix(c.levels, k)  # k-faces -> (k-1)-faces
+    levels = c.levels
+    lower = boundary_matrix(levels, 0)  # vertices -> empty face
+    for k in range(1, len(levels) - 1):
+        upper = boundary_matrix(levels, k)  # k-faces -> (k-1)-faces
         for row in upper:
             composed: dict[int, int] = {}
             for j, a in row.items():
@@ -118,25 +119,25 @@ def boundary_square_is_zero(c: SimplicialComplex) -> bool:
 def reduced_homology(c: SimplicialComplex, field: FieldSpec = DEFAULT_FIELD) -> HomologyProfile:
     """Reduced homology dimensions of c over the given field, degrees -1..dim.
 
-    They are read off the excision pair of one vertex (`_compute_profile`);
-    a Betti scan skips the c that `betti._apex_bounds` proves cones.
+    They are read off the cells of one excision pair (`_compute_profile`;
+    a void c has none); a Betti scan skips the c that `betti._apex_bounds`
+    proves cones.
     """
-    if c.is_void:
-        return HomologyProfile()
-    return _compute_profile(_excision_cells(c.levels), field)
+    vertices = c.rows.vertices
+    cells = _pair_cells(c.bits, vertices, _pair_vertex(c.bits, vertices))
+    return _compute_profile(_face_levels(cells, c.rows), field)
 
 
 def _compute_profile(cells: Sequence[Sequence[int]], field: FieldSpec) -> HomologyProfile:
-    """Profile of a pair from its cells of sizes 0..dim+1, reduced top down with clearing.
+    """Profile of a pair from its cells by size, reduced top down with clearing.
 
-    For a complex c and a vertex v (`complexes._excision_cells`), the star
+    For a complex c and a vertex v (`complexes._pair_cells`), the star
     st = {F : F + v in c} is a cone, so its augmented chains are acyclic
     and the sequence of the pair gives
     H~_k(c) = H_k(c, st) = H_k(del_v c, lk_v c) by excision (Forman, Adv.
     Math. 1998; Jonsson, LNM 1928, 2008).  st is closed under taking faces,
     so the quotient boundary of a cell, a face outside st, is its boundary
-    restricted to the cells.  If v is in no face, st is empty.  There are
-    |c| - 2 * #{faces with v} cells, none exactly when v is an apex.
+    restricted to the cells.  If v is in no face, st is empty.
 
     The boundary maps are reduced from the top one down, the top one in
     full.  A pivot column of boundary_{k+1} is a k-cell that leads a reduced
@@ -173,10 +174,10 @@ def settled_profile(faces: int, vertices: Sequence[int],
     from every face as a cell, one vertex w at a time pairs each cell F
     without w with F + w when F + w is a cell too (a shift by 2^w takes
     F + w to F); the cells left are the critical ones.  The first pass, by
-    a vertex v in the most faces (the smallest on ties), leaves the cells
-    of its excision pair: the faces F without v whose F + v is no face,
-    |faces| - 2 * #{faces with v} of them.  Then every vertex takes a pass
-    in order, v pairing nothing a second time.
+    the vertex v that `complexes._pair_vertex` picks, leaves the cells of
+    its excision pair (`complexes._pair_cells`): the faces F without v
+    whose F + v is no face.  Then every vertex takes a pass in order, v
+    pairing nothing a second time.
 
     Why the profile is exact.  Pairing F with F + v whenever both are faces
     is an element matching on the augmented face poset, and the faces it
@@ -193,11 +194,9 @@ def settled_profile(faces: int, vertices: Sequence[int],
     every field.  With no critical cells, every degree is 0: an apex v of
     a cone has no cells at all.
     """
-    first = max(range(len(vertices)), key=lambda v: (faces & vertices[v]).bit_count())
-    critical = faces
+    critical = _pair_cells(faces, vertices, _pair_vertex(faces, vertices))
     # no complement of a wide int is taken: a & ~b is written a ^ (a & b)
-    for w in (first, *range(len(vertices))):
-        # after its first pass no cell has the first vertex, so it pairs none
+    for w in range(len(vertices)):
         if with_w := critical & vertices[w]:
             low = (critical ^ with_w) & (with_w >> (1 << w))
             critical ^= low | low << (1 << w)
@@ -213,5 +212,6 @@ def euler_characteristic_matches(c: SimplicialComplex, profile: HomologyProfile)
     """Face-count Euler characteristic equals the homological one (non-void c)."""
     if c.is_void:
         return profile.is_trivial
-    chi_faces = sum(len(level) if k % 2 else -len(level) for k, level in enumerate(c.levels))
+    chi_faces = sum((c.bits & size).bit_count() * (1 if f % 2 else -1)
+                    for f, size in enumerate(c.rows.sizes))
     return chi_faces == profile.euler_characteristic()

@@ -290,7 +290,7 @@ def test_criterion_5_property_suite():
             if dual_profile[i - 2] != profile[nv - i - 1]:
                 failures.append(f"{tag}: duality mismatch at i={i}")
                 break
-        if not dual.is_void and alexander_dual(dual, dual.ground).levels != c.levels:
+        if not dual.is_void and alexander_dual(dual, dual.ground).bits != c.bits:
             failures.append(f"{tag}: dual involution broken")
         if len(failures) > 25:
             break

@@ -1,7 +1,7 @@
 """What each CLI process pays for besides its answer: the exit hook that lets
 the interpreter's final collection skip every object, the parser that gives
 options only to the invoked subcommand, and the JSON writer that stands in
-for json.dumps with an indent."""
+for json.dumps with an indent; and how it ends when its reader leaves."""
 
 from __future__ import annotations
 
@@ -31,6 +31,18 @@ ENTRY = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
 def run_process(*argv):
     return subprocess.run([sys.executable, "-I", "-c", ENTRY, str(SRC), *argv],
                           capture_output=True, timeout=60)
+
+
+def test_a_reader_that_leaves_early_gets_exit_141_and_no_traceback():
+    # the sweep's JSON is larger than a pipe buffer, so the write is still
+    # running when the reader closes after one line
+    argv = ["verify", "--sweep", "n=2,d=3..8", "--format", "json"]
+    with subprocess.Popen([sys.executable, "-I", "-c", ENTRY, str(SRC), *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 # -- the exit hook ------------------------------------------------------------

@@ -17,7 +17,7 @@ from pinched_veronese import (
     veronese_generators,
 )
 from pinched_veronese import complexes, semigroup
-from pinched_veronese.complexes import _excision_cells
+from pinched_veronese.complexes import _mask, _pair_cells
 from complex_helpers import from_faces, full_simplex, simplex_boundary, validate, void
 
 
@@ -452,10 +452,42 @@ def test_link_is_subcomplex_and_contains_star(c, data):
     for f in c.faces:
         if v in f:
             assert f in lk.faces
-    # each level splits into the link's faces and the cells of v's pair
-    for level, kept, cut in itertools.zip_longest(c.levels, lk.levels, _excision_cells(c.levels, v),
-                                                  fillvalue=()):
-        assert set(kept).isdisjoint(cut) and set(kept) | set(cut) == set(level)
+    # the faces split into the link's and the cells of v's pair, the faces
+    # F with F + v not a face; a vertex past the ground has every face
+    for u in (v, max(c.ground) + 1):
+        cells = _pair_cells(c.bits, c.rows.vertices, u)
+        assert cells == sum(1 << _mask(f) for f in c.faces if f | {u} not in c.faces), u
+    cells = _pair_cells(c.bits, c.rows.vertices, v)
+    assert lk.bits & cells == 0 and lk.bits | cells == c.bits
+    assert lk.rows is c.rows
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=4))))
+@settings(max_examples=80, deadline=None)
+def test_from_faces_round_trips(case):
+    # the bitset gives back the faces: levels in lexicographic order, and
+    # faces, dim, support and equality as on the face list
+    n, facets = case
+    faces = {F(*sub) for mx in facets for k in range(len(mx) + 1)
+             for sub in itertools.combinations(sorted(mx), k)}
+    c = from_faces(range(n), faces)
+    validate(c)
+    top = max(map(len, faces), default=-1)
+    assert c.levels == tuple(tuple(_mask(f) for f in sorted(tuple(sorted(f)) for f in faces
+                                                            if len(f) == k))
+                             for k in range(top + 1))
+    assert set(c.faces) == faces and len(c.faces) == len(faces)
+    assert all(f in c.faces for f in faces) and F(n) not in c.faces
+    assert c.dim == top - 1 and c.is_void == (not faces)
+    assert c.support() == tuple(sorted(set().union(*faces)))
+    assert c == from_faces(range(n), sorted(faces, key=sorted, reverse=True))
+    assert hash(c) == hash(from_faces(range(n), faces))
+    if faces:
+        drop = max(faces, key=len)
+        assert c != from_faces(range(n), faces - {drop}) and c != from_faces(range(n + 1), faces)
+    else:
+        assert c == void(range(n))
 
 
 def dual_by_complements(c, ground):

@@ -21,7 +21,7 @@ from pinched_veronese import (
     witness_non_cm,
 )
 from pinched_veronese.betti import _apex_bounds, _certified, _cone_apexes
-from pinched_veronese.complexes import _excision_cells, divisor_bits
+from pinched_veronese.complexes import _face_levels, _pair_cells, divisor_bits
 from pinched_veronese.homology import _compute_profile, settled_profile
 from pinched_veronese.linalg import pivot_columns
 from complex_helpers import faces_of_dim, from_faces, full_simplex, simplex_boundary, validate, void
@@ -411,13 +411,18 @@ def test_sparse_boundary_rows_match_dense_and_compose_to_zero(c):
     assert boundary_square_is_zero(c)
 
 
+def pair_cells(c, v):
+    """The cells of the pair at v, listed by size on the complex's rows."""
+    return _face_levels(_pair_cells(c.bits, c.rows.vertices, v), c.rows)
+
+
 def pair_profile(c, v, field):
     """Relative homology of the pair at v from each boundary map's rank, nothing cleared."""
-    cells = _excision_cells(c.levels, v)
+    cells = pair_cells(c, v)
     ranks = {k: len(pivot_columns(boundary_matrix(cells, k), field))
-             for k in range(0, c.dim + 1)}
+             for k in range(0, len(cells) - 1)}
     return HomologyProfile({k: len(cells[k + 1]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-                            for k in range(-1, c.dim + 1)})
+                            for k in range(-1, len(cells) - 1)})
 
 
 @given(downward_closed_complexes())
@@ -425,17 +430,20 @@ def pair_profile(c, v, field):
 def test_pair_profile_does_not_depend_on_the_vertex(c):
     facets = [f for f in c.faces if not any(f < g for g in c.faces)]
     outside = max(c.ground) + 1
-    for field in (GF2, RATIONALS):
+    for field in (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS):
         expected = per_level_profile(c, field)
         assert reduced_homology(c, field) == expected
         for v in (*c.ground, outside):
             assert pair_profile(c, v, field) == expected, (v, field)
     apexes = set()
     for v in (*c.ground, outside):
-        cells = _excision_cells(c.levels, v)
+        cells = _pair_cells(c.bits, c.rows.vertices, v)
+        # the faces F with F + v not a face, against the face sets
+        assert cells == sum(1 << sum(1 << u for u in f) for f in c.faces
+                            if f | {v} not in c.faces), v
         if v == outside:
-            assert cells == [tuple(level) for level in c.levels]
-        if not any(cells):
+            assert cells == c.bits and pair_cells(c, v) == c.levels
+        if not cells:
             apexes.add(v)
     assert apexes == {v for v in c.ground if all(v in f for f in facets)}
     assert bool(apexes) == c.is_cone()
@@ -447,8 +455,8 @@ def test_cleared_cell_profile_matches_on_every_vertex(c):
     # the reduction with clearing, given the cells of any vertex's pair
     for field in (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS):
         expected = reduced_homology(c, field)
-        for v in c.support():
-            assert _compute_profile(_excision_cells(c.levels, v), field) == expected, (v, field)
+        for v in (*c.ground, max(c.ground) + 1):
+            assert _compute_profile(pair_cells(c, v), field) == expected, (v, field)
 
 
 # -- profiles settled by an iterated element matching ------------------------
@@ -457,14 +465,49 @@ def test_cleared_cell_profile_matches_on_every_vertex(c):
 SETTLE_FIELDS = (GF2, FieldSpec(5), FieldSpec(32003), RATIONALS)
 
 
+def recorded_splits(call):
+    """call()'s result and the (v, cells) of each split it makes in `homology`."""
+    import pinched_veronese.homology as homology
+
+    splits = []
+
+    def recording(faces, vertices, v):
+        splits.append((v, _pair_cells(faces, vertices, v)))
+        return splits[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_pair_cells", recording)
+        return call(), splits
+
+
+def first_splits_agree(c, table):
+    """Check that settled_profile's first pass, on the rows of `table`, and
+    reduced_homology(c) split c once each, at the same vertex into the same
+    cells; return the settled profile and that vertex."""
+    profile, first = recorded_splits(lambda: settled_profile(c.bits, table.vertices, table.sizes))
+    _, reduced = recorded_splits(lambda: reduced_homology(c))
+    assert len(first) == 1 and reduced == first, (first, reduced)
+    return profile, first[0][0]
+
+
+@given(downward_closed_complexes())
+@settings(max_examples=60, deadline=None)
+def test_settled_and_reduced_profiles_split_at_one_vertex(c):
+    # the vertex in the most faces, the smallest on ties
+    _, v = first_splits_agree(c, c.rows)
+    counts = [sum(1 for f in c.faces if u in f) for u in c.support() or (0,)]
+    assert v == (c.support() or (0,))[counts.index(max(counts))]
+
+
 def settle_or_reduce(config, h, s_max):
     """Settle h as the scan does, on the table of cap s_max*d; check the
-    bitset against the built complex, and a settled profile against the
-    reduction over four fields.  True when h was settled."""
+    bitset against the built complex, its first split against
+    reduced_homology's, and a settled profile against the reduction over
+    four fields.  True when h was settled."""
     faces, bits = divisor_bits(h, config, s_max * config.d)
     c = build_divisor_complex(h, config)
-    assert faces == sum(1 << m for level in c.levels for m in level), h
-    profile = settled_profile(faces, bits.vertices, bits.sizes)
+    assert faces == c.bits, h
+    profile, _ = first_splits_agree(c, bits)
     if profile is None:
         # an apex has no cells, so a cone always settles
         assert not c.is_cone(), h
